@@ -3,9 +3,9 @@
 //! sessions) on one worker and prints solver totals plus the slowest
 //! theorems with their per-goal stats and session position. Interleave
 //! several invocations when comparing wall times — single runs on a
-//! shared host are dominated by machine noise. Not wired into any
-//! suite; `BENCH_incremental.json` (via `bench_all`) is the tracked
-//! artifact.
+//! shared host are dominated by machine noise. The tracked benchmark
+//! is `perfbench` (see `perfbench/README.md`); this binary adds the
+//! per-theorem timings its traces do not record.
 
 use serval_core::OptCfg;
 use serval_engine::{DischargeMode, EngineCfg};

@@ -23,12 +23,14 @@
 //! | `SERVAL_CACHE`     | `1`/`on` → disk tier under `target/serval-cache/`; a path → disk tier there; unset/`0` → memory tier only |
 //! | `SERVAL_PORTFOLIO` | `1`/`on` → race 3 solver configs per query (the pool shrinks to `jobs / 3` so total solver threads stay ≈ `SERVAL_JOBS`). Verdicts stay deterministic, but which variant's counterexample is reported is a timing race — see [`solve::solve_portfolio`]. |
 //! | `SERVAL_SPLIT`     | `0`/`off` → disable goal conjunction splitting (on by default; see [`form::split_goal`]) |
-//! | `SERVAL_INCREMENTAL` | `0`/`off` → disable incremental discharge sessions, falling back to one fresh solver per sub-query (on by default — the measured winner now that inprocessing runs under live sessions; sub-queries sharing an assumption set are otherwise solved in one live session — see [`solve::solve_session`]). Ignored when `SERVAL_PORTFOLIO` is on: a portfolio race needs independent solvers. |
-//! | `SERVAL_MODE`      | `fresh` / `session` / `auto` — names the discharge mode outright and overrides `SERVAL_INCREMENTAL`. `auto` decides per assumption group from predicted reuse (group size × shared-base cone ratio); see [`DischargeMode`]. |
+//! | `SERVAL_MODE`      | `fresh` / `session` / `auto` — the discharge mode (default `session`: sub-queries sharing an assumption set are solved in one live session, see [`solve::solve_session`]; `fresh` gives each sub-query its own solver; `auto` decides per assumption group from predicted reuse, group size × shared-base cone ratio; see [`DischargeMode`]). Ignored when `SERVAL_PORTFOLIO` is on: a portfolio race needs independent solvers. |
 //! | `SERVAL_PRESOLVE`  | `0`/`off` → disable word-level presolve, handing the solver the raw obligation DAG (on by default; each query's assumption base is otherwise simplified once — equality substitution, known-bits/interval folding, cone-of-influence reduction — and the cache keys on the *simplified* normal form; see [`serval_smt::presolve`]). |
 //! | `SERVAL_CERT`      | `0`/`off` → disable proof certificates (on by default: every solver `Unsat` must present a DRAT-style proof accepted by the independent `serval-drat` checker before it becomes `Proved`; cached `Proved` entries carry the certificate fingerprint and uncertified disk records are ignored; cached `Refuted` hits re-evaluate their stored countermodel against the term semantics and are evicted on mismatch). |
-//! | `SERVAL_INPROCESS` | `0`/`off` → disable SatELite-style SAT inprocessing (on by default: backward subsumption, self-subsuming resolution, and — for fresh solves — bounded variable elimination at level-0 boundaries, every step DRAT-logged so `SERVAL_CERT=1` still accepts the proofs; see [`serval_sat`]). |
-//! | `SERVAL_POLARITY`  | `0`/`off` → disable Plaisted–Greenbaum polarity-aware CNF encoding (on by default: gate definition clauses are emitted only in the implication direction the formula actually uses; see [`serval_smt::solver::SolverConfig`]). |
+//!
+//! Below the engine, every solve runs one pipeline with no switches:
+//! polarity-aware blasting, SAT inprocessing (plan-scoped variable
+//! elimination inside sessions), and LRAT-hinted proof logging whenever
+//! certificates are on (see [`serval_smt::solver`]).
 
 pub mod cache;
 pub mod form;
@@ -102,10 +104,10 @@ pub struct EngineCfg {
     pub split: bool,
     /// Whether sub-queries sharing an assumption set are discharged in
     /// one live incremental session, one fresh solver each, or decided
-    /// per group ([`DischargeMode::Auto`]). Defaults to `Session` — the
-    /// measured winner on the certikos refinement workload now that
-    /// inprocessing runs under live sessions (see
-    /// `BENCH_incremental.json`). Has no effect when `portfolio` is on,
+    /// per group ([`DischargeMode::Auto`]). Defaults to `Session`, which
+    /// beat `Fresh` on the CertiKOS^s refinement workload once
+    /// inprocessing ran under live sessions (EXPERIMENTS.md, "Retired
+    /// per-feature benches"). Has no effect when `portfolio` is on,
     /// since a portfolio races *independent* solvers per query.
     /// Verdicts are identical in every mode — the mode only changes how
     /// much encoding and search work is re-done.
@@ -138,8 +140,8 @@ impl Default for EngineCfg {
 
 impl EngineCfg {
     /// Reads `SERVAL_JOBS`, `SERVAL_PORTFOLIO`, `SERVAL_CACHE`,
-    /// `SERVAL_SPLIT`, `SERVAL_MODE`, `SERVAL_INCREMENTAL`,
-    /// `SERVAL_PRESOLVE`, and `SERVAL_CERT`.
+    /// `SERVAL_SPLIT`, `SERVAL_MODE`, `SERVAL_PRESOLVE`, and
+    /// `SERVAL_CERT`.
     pub fn from_env() -> EngineCfg {
         let jobs = std::env::var("SERVAL_JOBS")
             .ok()
@@ -160,22 +162,13 @@ impl EngineCfg {
         let split = std::env::var("SERVAL_SPLIT")
             .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
             .unwrap_or(true);
-        let incremental = std::env::var("SERVAL_INCREMENTAL")
-            .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-            .unwrap_or(true);
-        // `SERVAL_MODE` names the discharge mode outright and wins;
-        // otherwise the boolean `SERVAL_INCREMENTAL` keeps its meaning
-        // (on → sessions, off → fresh solvers).
         let mode = match std::env::var("SERVAL_MODE") {
             Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
                 "fresh" => DischargeMode::Fresh,
-                "session" | "incremental" => DischargeMode::Session,
                 "auto" => DischargeMode::Auto,
-                _ if incremental => DischargeMode::Session,
-                _ => DischargeMode::Fresh,
+                _ => DischargeMode::Session,
             },
-            Err(_) if incremental => DischargeMode::Session,
-            Err(_) => DischargeMode::Fresh,
+            Err(_) => DischargeMode::Session,
         };
         let presolve = serval_smt::presolve::env_enabled();
         let cert = std::env::var("SERVAL_CERT")
@@ -457,6 +450,10 @@ impl Engine {
         let debug = std::env::var("SERVAL_ENGINE_DEBUG").is_ok();
         let t_prep = std::time::Instant::now();
         let n = queries.len();
+        // The caller's own terms, against which every `Refuted` verdict
+        // is checked before it leaves (presolve rewrites `queries`).
+        let originals: Vec<(Vec<SBool>, SBool)> =
+            queries.iter().map(|q| (q.assumptions.clone(), q.goal)).collect();
         self.submitted.fetch_add(n as u64, Ordering::Relaxed);
         let mut slots: Vec<Option<QueryOutcome>> = (0..n).map(|_| None).collect();
 
@@ -465,7 +462,7 @@ impl Engine {
         // resolves on one normalization + one lookup and never pays the
         // presolve pipeline again. (Without this, warm runs re-derived
         // every binding and rewrite only to hit on the simplified key —
-        // the 2.5× warm-path slowdown in BENCH_presolve/_incremental.)
+        // a 2.5× warm-path slowdown on the CertiKOS refinement cell.)
         // Raw-trivial queries short-circuit here exactly like the
         // presolve-off fast path; queries presolve later folds to
         // trivial are *not* counted trivial, because they did consult
@@ -1102,6 +1099,14 @@ impl Engine {
             }
         }
 
+        // Every countermodel, solved or cached, must refute the query as
+        // submitted; one that does not is demoted before the raw-key
+        // write below could record it.
+        for (slot, (assumptions, goal)) in slots.iter_mut().zip(&originals) {
+            let out = slot.as_mut().expect("every slot resolved");
+            check_refutation(out, assumptions, *goal);
+        }
+
         // Raw-key write side: only now are the outcomes definitive and
         // their countermodels repaired (dropped-cone merge and binding
         // completion above), so each solved query is recorded under its
@@ -1206,8 +1211,27 @@ fn countermodel_valid(
     assumptions: &[SBool],
     goal: SBool,
 ) -> bool {
-    let m = portable_to_model(pm, backmap);
+    refutes(&portable_to_model(pm, backmap), assumptions, goal)
+}
+
+/// Whether `m` refutes the query: every assumption evaluates true and
+/// the goal false.
+fn refutes(m: &Model, assumptions: &[SBool], goal: SBool) -> bool {
     assumptions.iter().all(|a| m.eval_bool(a.0)) && !m.eval_bool(goal.0)
+}
+
+/// Demotes a `Counterexample` outcome whose model does not refute the
+/// caller's `assumptions` and `goal` to `Unknown`, with the reason in
+/// `error`. A wrong countermodel means a layer between the caller and
+/// the solver (presolve, normalization, session renumbering, the cache)
+/// misbehaved, so no verdict is better than that one.
+fn check_refutation(out: &mut QueryOutcome, assumptions: &[SBool], goal: SBool) {
+    if let VerifyResult::Counterexample(m) = &out.result {
+        if !refutes(m, assumptions, goal) {
+            out.result = VerifyResult::Unknown;
+            out.error = Some("countermodel does not refute the submitted query".to_string());
+        }
+    }
 }
 
 /// Renumbers a portable model from one back map's canonical indices to

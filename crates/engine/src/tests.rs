@@ -573,6 +573,52 @@ fn genuine_refuted_entries_survive_revalidation() {
     assert!(!m.eval_bool(goal.0));
 }
 
+#[test]
+fn corrupted_countermodel_is_demoted_to_unknown() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let y = BV::fresh(16, "y");
+    let asm = x.uge(BV::lit(16, 3));
+    let goal = x.ule(y);
+    let mut out = local_engine(1).submit(q("r", vec![asm], goal));
+    // A genuine countermodel passes the check untouched.
+    crate::check_refutation(&mut out, &[asm], goal);
+    let VerifyResult::Counterexample(m) = &mut out.result else {
+        panic!("expected counterexample, got {:?}", out.result);
+    };
+    assert!(out.error.is_none());
+    // x = 0 breaks the assumption and satisfies the goal: no longer a
+    // refutation, so the verdict must not leave as `Refuted`.
+    m.set_bv(x.0, 0);
+    crate::check_refutation(&mut out, &[asm], goal);
+    assert!(matches!(out.result, VerifyResult::Unknown), "got {:?}", out.result);
+    assert!(out.error.is_some());
+}
+
+#[test]
+fn poisoned_refuted_entry_without_certificates_is_not_refuted() {
+    use crate::cache::CachedVerdict;
+    use crate::solve::PortableModel;
+
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let y = BV::fresh(16, "y");
+    // Certificates off: cache hits are not revalidated, so only the
+    // final check stands between the poisoned entry and the caller.
+    let engine = cert_matrix_engine(true, true, false, false);
+    let goal = (x & y).ule(x);
+    let prepared = prepare(&[], goal);
+    let mut bogus = PortableModel::default();
+    for (i, _) in prepared.backmap.vars.iter().enumerate() {
+        bogus.bvs.push((i as u32, 7));
+    }
+    engine.cache.insert(prepared.key, CachedVerdict::Refuted(bogus));
+    let o = engine.submit(q("p", vec![], goal));
+    assert!(o.cache_hit);
+    assert!(matches!(o.result, VerifyResult::Unknown), "got {:?}", o.result);
+    assert!(o.error.is_some());
+}
+
 // -----------------------------------------------------------------
 // Proof certificates
 // -----------------------------------------------------------------

@@ -21,7 +21,7 @@ use serval_check::prelude::*;
 use serval_engine::form;
 use serval_engine::Query;
 use serval_smt::solver::{SolverConfig, VerifyResult};
-use serval_smt::{reset_ctx, SBool, BV};
+use serval_smt::{reset_ctx, Rephase, SBool, BV};
 
 // ----------------------------------------------------------------------------
 // Helpers
@@ -48,22 +48,42 @@ fn sample_msg(picks: &[u8]) -> Msg {
 }
 
 /// Real wire queries (the cores go through `prepare_wire`, so they are
-/// exactly what a genuine client would send).
+/// exactly what a genuine client would send), each under its own
+/// sampled solver config.
 fn sample_queries(picks: &[u8]) -> Vec<WireQuery> {
     reset_ctx();
     let n = (picks.first().copied().unwrap_or(0) % 3) as usize + 1;
     (0..n)
         .map(|i| {
-            let (assumptions, goal) =
-                sample_obligation(&picks[i.min(picks.len().saturating_sub(1))..]);
+            let tail = &picks[i.min(picks.len().saturating_sub(1))..];
+            let (assumptions, goal) = sample_obligation(tail);
             let wp = form::prepare_wire(&assumptions, goal);
             WireQuery {
                 label: format!("fuzz/{i}"),
-                cfg: SolverConfig::default(),
+                cfg: sample_cfg(tail.get(8..).unwrap_or_default()),
                 core_bytes: form::wire_bytes(&wp.core),
             }
         })
         .collect()
+}
+
+/// A solver config drawn from fuzz picks, so the codec round-trips
+/// non-default values of every field it carries. `var_decay` stays in
+/// the `(0, 1]` range the decoder admits.
+fn sample_cfg(picks: &[u8]) -> SolverConfig {
+    let byte = |i: usize| picks.get(i).copied().unwrap_or(0);
+    SolverConfig {
+        conflict_budget: (byte(0) % 2 == 1).then(|| u64::from(byte(1)) << 8 | u64::from(byte(2))),
+        restart_base: u64::from(byte(3)) + 1,
+        var_decay: (f64::from(byte(4)) + 1.0) / 256.0,
+        default_phase: byte(5) % 2 == 1,
+        restart_geometric: byte(6) % 2 == 1,
+        rephase: match byte(7) % 3 {
+            0 => Rephase::Off,
+            1 => Rephase::Invert,
+            _ => Rephase::Reset,
+        },
+    }
 }
 
 /// A small random obligation over two 32-bit variables. Shapes cover
@@ -276,6 +296,28 @@ fn eof_position_distinguishes_clean_close_from_truncation() {
     );
 }
 
+/// `var_decay` outside `(0, 1]` is rejected at decode: the solver
+/// asserts that range, so a config that got through would panic the
+/// worker that solves it.
+#[test]
+fn var_decay_outside_unit_interval_rejected() {
+    let batch = |var_decay: f64| {
+        let mut queries = sample_queries(&[0]);
+        queries[0].cfg.var_decay = var_decay;
+        encode_msg(&Msg::Batch { id: 1, queries })
+    };
+    for bad in [0.0, -0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+        assert_eq!(
+            decode_msg(&batch(bad)).err(),
+            Some(WireError::Garbage("var_decay out of range")),
+            "var_decay {bad:?}"
+        );
+    }
+    for good in [f64::MIN_POSITIVE, 0.95, 1.0] {
+        assert!(decode_msg(&batch(good)).is_ok(), "var_decay {good:?}");
+    }
+}
+
 // ----------------------------------------------------------------------------
 // TCP loopback integration
 // ----------------------------------------------------------------------------
@@ -385,6 +427,48 @@ fn loopback_garbage_frame_gets_error_then_close() {
     assert!(client.ping().is_ok(), "server must survive a hostile connection");
     let stats = client.server_stats().unwrap();
     assert!(stats.protocol_errors >= 1);
+    server.shutdown();
+}
+
+/// A batch whose config the solver would refuse (`var_decay` of zero)
+/// earns an `Error` reply and a close instead of a worker panic, and
+/// the server keeps serving.
+#[test]
+fn loopback_zero_var_decay_gets_error_then_close() {
+    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let addr = server.local_addr().to_string();
+
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let goal = x.ult(BV::lit(32, 10));
+    let wp = form::prepare_wire(&[], goal);
+    for var_decay in [0.0, -0.0] {
+        let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+        wire::write_frame(&mut raw, &encode_msg(&Msg::Hello { version: wire::PROTO_VERSION }))
+            .unwrap();
+        let _ = wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap();
+        let batch = Msg::Batch {
+            id: 1,
+            queries: vec![WireQuery {
+                label: "zero-decay".to_string(),
+                cfg: SolverConfig { var_decay, ..SolverConfig::default() },
+                core_bytes: form::wire_bytes(&wp.core),
+            }],
+        };
+        wire::write_frame(&mut raw, &encode_msg(&batch)).unwrap();
+        let reply = wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert!(
+            matches!(decode_msg(&reply), Ok(Msg::Error { .. })),
+            "var_decay {var_decay:?} must be refused"
+        );
+        assert_eq!(wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap(), None);
+    }
+
+    let mut client = Client::connect(&addr).unwrap();
+    let outcomes = client.submit_batch(vec![query("survivor", vec![], goal)]).unwrap();
+    assert!(matches!(outcomes[0].result, VerifyResult::Counterexample(_)));
+    let stats = client.server_stats().unwrap();
+    assert!(stats.protocol_errors >= 2);
     server.shutdown();
 }
 

@@ -29,7 +29,10 @@ use std::time::Duration;
 ///
 /// v3: `SolverConfig` gained `session_bve` and `lrat`; `ShardStatsRow`
 /// gained the discharge-mode counters.
-pub const PROTO_VERSION: u32 = 3;
+///
+/// v4: `SolverConfig` lost `inprocess`, `polarity`, `session_bve` and
+/// `lrat` (four bytes per query), and `var_decay` must lie in `(0, 1]`.
+pub const PROTO_VERSION: u32 = 4;
 
 /// Default bound on a single frame's payload. Large enough for a whole
 /// certikos refinement batch chunk, small enough that a hostile length
@@ -446,10 +449,6 @@ fn push_cfg(out: &mut Vec<u8>, cfg: &SolverConfig) {
         Rephase::Invert => 1,
         Rephase::Reset => 2,
     });
-    out.push(cfg.inprocess as u8);
-    out.push(cfg.polarity as u8);
-    out.push(cfg.session_bve as u8);
-    out.push(cfg.lrat as u8);
 }
 
 fn read_cfg(rd: &mut Rd) -> Result<SolverConfig, WireError> {
@@ -460,7 +459,8 @@ fn read_cfg(rd: &mut Rd) -> Result<SolverConfig, WireError> {
     };
     let restart_base = rd.u64()?;
     let var_decay = f64::from_bits(rd.u64()?);
-    if !(0.0..=1.0).contains(&var_decay) {
+    // The solver asserts decay in (0, 1]; NaN fails the range test too.
+    if !(var_decay > 0.0 && var_decay <= 1.0) {
         return Err(WireError::Garbage("var_decay out of range"));
     }
     let default_phase = rd.bool()?;
@@ -471,10 +471,6 @@ fn read_cfg(rd: &mut Rd) -> Result<SolverConfig, WireError> {
         2 => Rephase::Reset,
         _ => return Err(WireError::Garbage("bad rephase tag")),
     };
-    let inprocess = rd.bool()?;
-    let polarity = rd.bool()?;
-    let session_bve = rd.bool()?;
-    let lrat = rd.bool()?;
     Ok(SolverConfig {
         conflict_budget,
         restart_base,
@@ -482,10 +478,6 @@ fn read_cfg(rd: &mut Rd) -> Result<SolverConfig, WireError> {
         default_phase,
         restart_geometric,
         rephase,
-        inprocess,
-        polarity,
-        session_bve,
-        lrat,
     })
 }
 

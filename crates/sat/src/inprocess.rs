@@ -211,11 +211,11 @@ impl Solver {
     /// Maps antecedent clause refs to their proof-log ids for an LRAT
     /// hint; an antecedent that was never logged (an elided elimination
     /// resolvent) is spliced into its stored parent expansion. `None`
-    /// when hints are off or an elided antecedent has no expansion
+    /// when proof logging is off or an elided antecedent has no expansion
     /// either — the step still RUP-checks from that resolvent's live
     /// parents, just not by the direct walk.
     fn antecedent_hints(&self, antecedents: &[CRef]) -> Option<Vec<u32>> {
-        if !self.lrat || self.proof.is_none() || antecedents.is_empty() {
+        if self.proof.is_none() || antecedents.is_empty() {
             return None;
         }
         let mut ids = Vec::with_capacity(antecedents.len());
@@ -711,7 +711,7 @@ impl Solver {
                         // An elided resolvent is invisible to the
                         // checker; store the parent expansion that lets
                         // hinted walks see through it.
-                        if pid == NO_PROOF_ID && self.lrat && self.proof.is_some() {
+                        if pid == NO_PROOF_ID && self.proof.is_some() {
                             if let Some(exp) = self.elided_expansion(&parents) {
                                 self.elided_hints.insert(cref, exp);
                             }

@@ -205,11 +205,8 @@ pub struct Solver {
     /// session's checker replays every delta into one database, so ids
     /// keep counting across goals.
     proof_adds: u32,
-    /// Whether learnt-clause `Derived` steps carry LRAT-style antecedent
-    /// hints (see [`Solver::set_lrat_hints`]).
-    lrat: bool,
     /// True while the current `analyze` call is collecting antecedents
-    /// (proof logging on + `lrat`).
+    /// (whenever proof logging is on).
     collect_hints: bool,
     /// Antecedents of the learnt clause currently being analyzed:
     /// `(trail position of the implied literal, reason clause)` pairs,
@@ -326,7 +323,6 @@ impl Solver {
             eliminable: None,
             proof: None,
             proof_adds: 0,
-            lrat: true,
             collect_hints: false,
             hint_buf: Vec::new(),
             trail_pos: Vec::new(),
@@ -512,16 +508,6 @@ impl Solver {
         self.proof_adds = 0;
         // Stored expansions name checker ids of the old log.
         self.elided_hints.clear();
-    }
-
-    /// Enables or disables LRAT-style antecedent hints on learnt-clause
-    /// proof steps (default: on; only effective while proof logging is
-    /// on). Hints let the checker verify each learnt clause by an
-    /// indexed walk over its antecedents instead of full watched-literal
-    /// unit propagation; they never change which certificates are
-    /// *accepted* by a fallback-checking verifier, only how fast.
-    pub fn set_lrat_hints(&mut self, on: bool) {
-        self.lrat = on;
     }
 
     /// Whether proof logging is on.
@@ -1264,7 +1250,7 @@ impl Solver {
         // Collect the resolution antecedents (every reason clause this
         // analysis consults) for the learnt clause's LRAT hint; see
         // `take_hints`.
-        self.collect_hints = self.lrat && self.proof.is_some();
+        self.collect_hints = self.proof.is_some();
         self.hint_buf.clear();
         loop {
             {

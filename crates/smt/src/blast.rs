@@ -12,14 +12,13 @@
 //!
 //! # Polarity-aware encoding (Plaisted–Greenbaum)
 //!
-//! With [`Blaster::set_polarity`] enabled, gate definition clauses are not
-//! written to the solver eagerly. Each gate registers two clause buckets:
-//! *forward* (clauses containing the negated output, constraining the
-//! definition when the output is true) and *backward* (clauses containing
-//! the positive output). A use of the output literal in some emitted
-//! clause pulls in only the bucket for that polarity, and the literals of
-//! the emitted clauses are themselves uses, so exactly the reachable
-//! polarity cone materializes. Single-polarity gates — the common case in
+//! Gate definition clauses are not written to the solver eagerly. Each
+//! gate registers two clause buckets: *forward* (clauses containing the
+//! negated output, constraining the definition when the output is true)
+//! and *backward* (clauses containing the positive output). A use of the
+//! output literal in some emitted clause pulls in only the bucket for
+//! that polarity, and the literals of the emitted clauses are themselves
+//! uses, so exactly the reachable polarity cone materializes. Single-polarity gates — the common case in
 //! verification-condition CNF, where the root is asserted one way — emit
 //! half their clauses, and gates of unreachable polarity emit nothing.
 //!
@@ -71,10 +70,8 @@ pub struct Blaster {
     /// First term to encode each `divrem` circuit (the range owner).
     divrem_owner: HashMap<(TermId, TermId), TermId>,
     /// Plaisted–Greenbaum registry: gate output var → pending definition
-    /// clauses. Only populated when `polarity` is on.
+    /// clauses.
     gates: HashMap<Var, Gate>,
-    /// Whether to defer gate clauses by polarity (see the module docs).
-    polarity: bool,
 }
 
 impl Default for Blaster {
@@ -97,30 +94,12 @@ impl Blaster {
             coupled: HashMap::new(),
             divrem_owner: HashMap::new(),
             gates: HashMap::new(),
-            polarity: false,
         }
     }
 
-    /// Enables or disables Plaisted–Greenbaum polarity-aware encoding.
-    /// Must be called before the first term is blasted; toggling
-    /// mid-encoding would strand already-registered gate buckets.
-    pub fn set_polarity(&mut self, on: bool) {
-        debug_assert!(
-            self.bool_map.is_empty() && self.bv_map.is_empty(),
-            "set_polarity after encoding started"
-        );
-        self.polarity = on;
-    }
-
-    /// Registers (or, with polarity analysis off, immediately emits) the
-    /// definition clauses of a gate with output variable `out`.
-    fn define_gate(&mut self, sat: &mut Solver, out: Var, clauses: &[&[Lit]]) {
-        if !self.polarity {
-            for c in clauses {
-                sat.add_clause(c);
-            }
-            return;
-        }
+    /// Registers the definition clauses of a gate with output variable
+    /// `out`; they reach the solver once a use of `out` needs them.
+    fn define_gate(&mut self, out: Var, clauses: &[&[Lit]]) {
         let mut fwd = Vec::new();
         let mut bwd = Vec::new();
         for c in clauses {
@@ -137,11 +116,8 @@ impl Blaster {
     /// Records that literal `l` occurs in an emitted clause, flushing the
     /// matching definition bucket of its gate (and, transitively, of every
     /// gate whose output appears in those clauses). A no-op for input
-    /// variables and with polarity analysis off.
+    /// variables.
     pub fn use_lit(&mut self, sat: &mut Solver, l: Lit) {
-        if !self.polarity {
-            return;
-        }
         let mut work = vec![l];
         while let Some(l) = work.pop() {
             let v = l.var();
@@ -595,7 +571,7 @@ impl Blaster {
             return !self.true_lit(sat);
         }
         let c = Lit::pos(sat.new_var());
-        self.define_gate(sat, c.var(), &[&[!c, a], &[!c, b], &[c, !a, !b]]);
+        self.define_gate(c.var(), &[&[!c, a], &[!c, b], &[c, !a, !b]]);
         c
     }
 
@@ -619,11 +595,7 @@ impl Blaster {
             return self.true_lit(sat);
         }
         let c = Lit::pos(sat.new_var());
-        self.define_gate(
-            sat,
-            c.var(),
-            &[&[!c, a, b], &[!c, !a, !b], &[c, !a, b], &[c, a, !b]],
-        );
+        self.define_gate(c.var(), &[&[!c, a, b], &[!c, !a, !b], &[c, !a, b], &[c, a, !b]]);
         c
     }
 
@@ -637,11 +609,7 @@ impl Blaster {
             return t;
         }
         let o = Lit::pos(sat.new_var());
-        self.define_gate(
-            sat,
-            o.var(),
-            &[&[!c, !t, o], &[!c, t, !o], &[c, !e, o], &[c, e, !o]],
-        );
+        self.define_gate(o.var(), &[&[!c, !t, o], &[!c, t, !o], &[c, !e, o], &[c, e, !o]]);
         o
     }
 

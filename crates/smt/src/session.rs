@@ -153,13 +153,11 @@ impl Session {
         // it to subsumption-only (the pre-elimination behaviour);
         // verdicts must not change either way (the sim sweep pins both).
         sat.set_inprocess(
-            cfg.inprocess && !sim::buggify("inprocess-skip"),
-            cfg.session_bve && !sim::buggify("session-eliminate-skip"),
+            !sim::buggify("inprocess-skip"),
+            !sim::buggify("session-eliminate-skip"),
         );
-        sat.set_lrat_hints(cfg.lrat);
         sat.set_interrupt(interrupt);
-        let mut blaster = Blaster::new();
-        blaster.set_polarity(cfg.polarity);
+        let blaster = Blaster::new();
         Session {
             cfg,
             sat,
@@ -498,19 +496,17 @@ impl Session {
             // late polarity-bucket flush) is transparently reintroduced
             // by `add_clause` — a retraction-safe round trip, never an
             // unsound verdict.
-            if self.cfg.inprocess && self.cfg.session_bve {
-                let i = (self.goals - 1) as usize;
-                let elig = self.plan.as_ref().map(|plan| {
-                    let mut keep = vec![false; self.sat.num_vars()];
-                    for (&t, &until) in &plan.mention_until {
-                        if until > i {
-                            self.blaster.mark_term_vars(t, &mut keep);
-                        }
+            let i = (self.goals - 1) as usize;
+            let elig = self.plan.as_ref().map(|plan| {
+                let mut keep = vec![false; self.sat.num_vars()];
+                for (&t, &until) in &plan.mention_until {
+                    if until > i {
+                        self.blaster.mark_term_vars(t, &mut keep);
                     }
-                    keep.iter().map(|&k| !k).collect()
-                });
-                self.sat.set_eliminable(elig);
-            }
+                }
+                keep.iter().map(|&k| !k).collect()
+            });
+            self.sat.set_eliminable(elig);
             // The budget is per *goal*: the solver's budget check is
             // against cumulative conflicts, so rebase it each time.
             self.sat

@@ -8,6 +8,12 @@
 //! (conflicts, decisions, propagations, learned clauses, blasted clause
 //! count) and accept a cooperative cancellation flag, which the engine
 //! crate's portfolio mode uses to stop losing solver variants.
+//!
+//! Every solve runs one pipeline: Plaisted–Greenbaum polarity-aware
+//! blasting (see [`crate::blast`]), SAT inprocessing, and, whenever a
+//! proof is logged, LRAT-style antecedent hints on its steps.
+//! [`SolverConfig`] holds only the search parameters a caller or a
+//! portfolio variant varies: conflict budget, restarts, decay and phase.
 
 use crate::blast::Blaster;
 use crate::bv::SBool;
@@ -19,41 +25,6 @@ use std::collections::HashSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Whether `SERVAL_INPROCESS` enables SAT inprocessing (default: on).
-pub fn inprocess_env_enabled() -> bool {
-    std::env::var("SERVAL_INPROCESS")
-        .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(true)
-}
-
-/// Whether `SERVAL_POLARITY` enables Plaisted–Greenbaum polarity-aware
-/// CNF encoding (default: on).
-pub fn polarity_env_enabled() -> bool {
-    std::env::var("SERVAL_POLARITY")
-        .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(true)
-}
-
-/// Whether `SERVAL_SESSION_INPROCESS` lets incremental sessions run
-/// plan-scoped bounded variable elimination (default: on). With it off,
-/// sessions restrict inprocessing to subsumption/strengthening, the
-/// pre-PR-10 behaviour.
-pub fn session_inprocess_env_enabled() -> bool {
-    std::env::var("SERVAL_SESSION_INPROCESS")
-        .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(true)
-}
-
-/// Whether `SERVAL_LRAT` puts LRAT-style antecedent hints on proof
-/// steps (default: on). Hints only change how fast the certificate
-/// checker verifies derived clauses, never which certificates a
-/// fallback-checking verifier accepts.
-pub fn lrat_env_enabled() -> bool {
-    std::env::var("SERVAL_LRAT")
-        .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(true)
-}
 
 /// Configuration for a solver call.
 #[derive(Clone, Copy, Debug)]
@@ -73,21 +44,6 @@ pub struct SolverConfig {
     pub restart_geometric: bool,
     /// Restart-boundary rephasing policy (default: [`Rephase::Off`]).
     pub rephase: Rephase,
-    /// SatELite-style SAT inprocessing (default: `SERVAL_INPROCESS`,
-    /// which is on unless set to `0`/`off`/`false`).
-    pub inprocess: bool,
-    /// Plaisted–Greenbaum polarity-aware CNF (default: `SERVAL_POLARITY`,
-    /// which is on unless set to `0`/`off`/`false`).
-    pub polarity: bool,
-    /// Plan-scoped variable elimination inside incremental sessions
-    /// (default: `SERVAL_SESSION_INPROCESS`, on unless set to
-    /// `0`/`off`/`false`). Ignored by fresh per-query solves, which
-    /// always eliminate when `inprocess` is on.
-    pub session_bve: bool,
-    /// LRAT-style antecedent hints on logged proof steps (default:
-    /// `SERVAL_LRAT`, on unless set to `0`/`off`/`false`). Only
-    /// meaningful with proof logging on.
-    pub lrat: bool,
 }
 
 impl Default for SolverConfig {
@@ -99,10 +55,6 @@ impl Default for SolverConfig {
             default_phase: false,
             restart_geometric: false,
             rephase: Rephase::Off,
-            inprocess: inprocess_env_enabled(),
-            polarity: polarity_env_enabled(),
-            session_bve: session_inprocess_env_enabled(),
-            lrat: lrat_env_enabled(),
         }
     }
 }
@@ -326,11 +278,9 @@ fn check_full_impl(
     // round under pressure would. Inprocessing is an equisatisfiable
     // rewrite, so every verdict must be identical with or without it —
     // the sim sweep pins that.
-    sat.set_inprocess(cfg.inprocess && !sim::buggify("inprocess-skip"), true);
-    sat.set_lrat_hints(cfg.lrat);
+    sat.set_inprocess(!sim::buggify("inprocess-skip"), true);
     sat.set_interrupt(interrupt);
     let mut blaster = Blaster::new();
-    blaster.set_polarity(cfg.polarity);
     let mut stats = QueryStats::default();
     for a in assertions {
         // Fast path: a constant-false assertion needs no solving. The

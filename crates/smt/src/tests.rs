@@ -731,8 +731,8 @@ proptest! {
     }
 }
 
-/// A deterministic purge → retract → re-mention stream with plan-scoped
-/// elimination forced on. The plan announces only the first two goals,
+/// A deterministic purge → retract → re-mention stream under plan-scoped
+/// elimination. The plan announces only the first two goals,
 /// so after goal 2 the session purges goal-local structure and may
 /// eliminate any variable the plan says is never mentioned again; the
 /// off-plan repeats and strengthened variants that follow re-mention
@@ -748,8 +748,7 @@ fn session_elimination_remention_after_purge_stays_sound() {
         (x * y).ult(BV::lit(8, 0xff)).implies(x.ult(BV::lit(8, 60))), // proved
         (x + y).ult(BV::lit(8, 100)),                                 // proved
     ];
-    let cfg = SolverConfig { inprocess: true, session_bve: true, ..SolverConfig::default() };
-    let mut s = Session::new(cfg, None);
+    let mut s = Session::new(SolverConfig::default(), None);
     for &a in &assumptions {
         s.assume(a);
     }
@@ -825,8 +824,7 @@ proptest! {
         stream.push(strengthened);
         stream.push(planned[1]);
 
-        let cfg = SolverConfig { inprocess: true, session_bve: true, ..SolverConfig::default() };
-        let mut session = Session::new(cfg, None);
+        let mut session = Session::new(SolverConfig::default(), None);
         for &a in &assumptions {
             session.assume(a);
         }

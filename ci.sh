@@ -28,9 +28,12 @@ echo "== tests (engine + core, proof certificates off) =="
 SERVAL_CERT=0 cargo test -q --offline -p serval-engine -p serval-core
 
 # The benchmark is a workspace of its own; building it here makes an API
-# change that breaks it fail CI.
-echo "== benchmark build (perfbench) =="
+# change that breaks it fail CI, and its self-tests (oracle flip/drop,
+# span self-time, plan) run here because the workspace tests above do
+# not reach them.
+echo "== benchmark build + self-tests (perfbench) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Deterministic simulation: the pinned regression-seed corpus runs as
 # part of the workspace tests above; this block additionally sweeps

@@ -70,7 +70,10 @@ pub enum CachedVerdict {
     Refuted(PortableModel),
 }
 
-const MAGIC: &[u8; 8] = b"SRVCACH2";
+/// Segment header. Bumped whenever the key format ([`crate::form::Core`]
+/// bytes) changes, so segments keyed in an older format are deleted on
+/// load instead of sitting in memory where no key can reach them.
+const MAGIC: &[u8; 8] = b"SRVCACH3";
 
 /// Distinguishes segment files created by several cache instances in
 /// one process (benchmarks install engines repeatedly).

@@ -1,15 +1,27 @@
-//! Query normal form: the portable, alpha-invariant serialization of a
+//! Query normal form: the one portable, validated serialization of a
 //! verification query.
 //!
 //! Terms live in a *thread-local* hash-consed context (`smt::term`), so a
-//! `TermId` means nothing on another thread. To discharge queries on pool
-//! workers the engine re-serializes the term DAG reachable from the
-//! query's assertion roots into a self-contained [`FormCore`]: nodes in
-//! deterministic postorder, symbolic constants renumbered by first
-//! encounter, uninterpreted functions likewise. The byte serialization of
-//! that core is the **cache key** — two queries that differ only in
-//! variable creation order, variable names, or assumption order produce
-//! identical keys, while any structural difference changes the bytes.
+//! `TermId` means nothing on another thread or in another process.
+//! [`prepare`] re-serializes the term DAG reachable from a query's roots
+//! into a self-contained [`Core`]: nodes in deterministic postorder,
+//! symbolic constants renumbered by first encounter, uninterpreted
+//! functions likewise, assumption roots deduplicated and canonically
+//! ordered, and goal roots (*not* negated) in submission order. The one
+//! format serves every consumer:
+//!
+//! - the bytes of a one-goal core ([`Core::encode`]) are the engine's
+//!   **cache key**;
+//! - a k-goal core over a shared assumption set is the payload of one
+//!   incremental **session** task;
+//! - the bytes of a one-goal core are the **wire payload** a client sends
+//!   to `servald`, which re-checks them through the validating
+//!   [`Core::decode`]. The server's engine re-derives the same bytes as
+//!   its cache key, so the wire payload *is* the key.
+//!
+//! Two queries that differ only in variable creation order, variable
+//! names, or assumption order produce identical bytes, while any
+//! structural difference changes them.
 //!
 //! Soundness: the key *is* the full serialization, so key equality
 //! implies the queries are alpha-equivalent (same proof obligation). The
@@ -20,7 +32,7 @@
 
 use serval_smt::bv::SBool;
 use serval_smt::solver::SolverConfig;
-use serval_smt::term::{with_ctx, Ctx, Op, Sort, Term, TermId, UfId};
+use serval_smt::term::{with_ctx, Op, Sort, Term, TermId, UfId};
 use std::collections::HashMap;
 
 /// A verification query: prove `goal` under `assumptions`.
@@ -39,10 +51,10 @@ pub struct Query {
 }
 
 /// One node of the portable term DAG. `children` index into
-/// [`FormCore::nodes`]; `Op::Var`/`Op::UfApply` payloads are *canonical*
+/// [`Core::nodes`]; `Op::Var`/`Op::UfApply` payloads are *canonical*
 /// indices, not thread-local ordinals.
 #[derive(Clone, Debug, PartialEq)]
-pub struct FormNode {
+pub struct Node {
     /// The operator (with canonicalized payload for vars and UFs).
     pub op: Op,
     /// Children as indices into the node array (always smaller than the
@@ -52,22 +64,22 @@ pub struct FormNode {
     pub sort: Sort,
 }
 
-/// The portable normal form of a query: everything a worker thread needs
-/// to rebuild and solve it in a fresh term context.
-#[derive(Clone, Debug)]
-pub struct FormCore {
+/// The portable normal form of `assumptions ⊢ goals`: everything a worker
+/// thread or a remote server needs to rebuild the query in a fresh term
+/// context.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Core {
     /// Term DAG in deterministic postorder.
-    pub nodes: Vec<FormNode>,
-    /// Assertion roots (assumptions plus negated goal), deduplicated and
-    /// canonically ordered, as indices into `nodes`.
-    pub roots: Vec<u32>,
+    pub nodes: Vec<Node>,
+    /// Assumption roots, deduplicated and canonically ordered, as indices
+    /// into `nodes`.
+    pub asms: Vec<u32>,
+    /// Goal roots, un-negated, in submission order.
+    pub goals: Vec<u32>,
     /// Sort of each canonical symbolic constant.
     pub var_sorts: Vec<Sort>,
     /// Signature (argument widths, result width) of each canonical UF.
     pub uf_sigs: Vec<(Vec<u32>, u32)>,
-    /// True when some root is the constant `false`: the query is proved
-    /// without solving (mirrors the `check` fast path).
-    pub trivially_unsat: bool,
 }
 
 /// Where a canonical symbolic constant came from in the submitting
@@ -80,34 +92,32 @@ pub struct VarOrigin {
     pub sort: Sort,
 }
 
-/// Caller-side translation table from canonical indices back to the
-/// submitting thread's term context.
+/// Translation table from canonical indices to one thread's term
+/// context: the submitting thread's (from [`prepare`]) or the rebuilding
+/// thread's (from [`rebuild`]).
 #[derive(Clone, Debug, Default)]
 pub struct BackMap {
-    /// Canonical var index → original constant.
+    /// Canonical var index → constant.
     pub vars: Vec<VarOrigin>,
-    /// Canonical UF index → original UF id.
+    /// Canonical UF index → UF id.
     pub ufs: Vec<UfId>,
 }
 
 /// A query reduced to its normal form plus the caller-side back map.
 pub struct Prepared {
-    /// The portable core (shared with workers).
-    pub core: FormCore,
-    /// Canonical-index → caller-term translation.
+    /// The portable core.
+    pub core: Core,
+    /// Canonical-index → caller-term translation, covering every var and
+    /// UF reachable from any root.
     pub backmap: BackMap,
-    /// Cache key: the byte serialization of `core`.
-    pub key: Vec<u8>,
 }
 
-/// Postorder-normalization state shared by [`prepare`] (one root set) and
-/// [`prepare_session`] (base roots plus a stream of negated-goal roots):
-/// one global numbering across every root fed in, with vars and UFs
-/// renumbered by first encounter.
+/// Postorder-normalization state: one global numbering across every
+/// root fed in, with vars and UFs renumbered by first encounter.
 #[derive(Default)]
 struct Normalizer {
     node_of: HashMap<TermId, u32>,
-    nodes: Vec<FormNode>,
+    nodes: Vec<Node>,
     var_of: HashMap<u32, u32>,
     uf_of: HashMap<u32, u32>,
     backmap: BackMap,
@@ -168,7 +178,7 @@ impl Normalizer {
             };
             let children: Vec<u32> = children.iter().map(|c| self.node_of[c]).collect();
             self.node_of.insert(t, self.nodes.len() as u32);
-            self.nodes.push(FormNode { op, children, sort });
+            self.nodes.push(Node { op, children, sort });
             stack.pop();
         }
         self.node_of[&root]
@@ -193,80 +203,24 @@ fn canonical_roots(roots: impl Iterator<Item = SBool>) -> Vec<TermId> {
     keyed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Extracts the normal form of `assumptions ∧ ¬goal`.
+/// Extracts the normal form of `assumptions ⊢ goals`: the assumption
+/// roots canonically ordered first, then one root per goal in submission
+/// order, all over one shared node array so every term is serialized
+/// (and later rebuilt) exactly once.
 ///
 /// Must run on the thread that owns the terms.
-pub fn prepare(assumptions: &[SBool], goal: SBool) -> Prepared {
-    let negated_goal = !goal;
-    let all = || assumptions.iter().copied().chain([negated_goal]);
-    let trivially_unsat = all().any(|a| a.is_false());
+pub fn prepare(assumptions: &[SBool], goals: &[SBool]) -> Prepared {
     let mut nz = Normalizer::default();
-    let root_ids: Vec<u32> = canonical_roots(all())
+    let asms: Vec<u32> = canonical_roots(assumptions.iter().copied())
         .into_iter()
         .map(|r| nz.add_root(r))
         .collect();
-    let core = FormCore {
-        nodes: nz.nodes,
-        roots: root_ids,
-        var_sorts: nz.var_sorts,
-        uf_sigs: nz.uf_sigs,
-        trivially_unsat,
-    };
-    let key = cache_key(&core);
-    Prepared { core, backmap: nz.backmap, key }
-}
-
-/// The portable normal form of an incremental discharge session: the
-/// shared assumption set (as canonically ordered base roots) plus one
-/// *negated-goal* root per goal, all sharing a single node array so the
-/// worker materializes every term exactly once.
-#[derive(Clone, Debug)]
-pub struct SessionCore {
-    /// Term DAG in deterministic postorder (base roots first).
-    pub nodes: Vec<FormNode>,
-    /// Shared assumption roots, deduplicated and canonically ordered.
-    pub base_roots: Vec<u32>,
-    /// One entry per goal, in submission order: the node index of the
-    /// goal's *negation* (what the session solver asserts behind the
-    /// goal's activation literal).
-    pub goal_roots: Vec<u32>,
-    /// Sort of each canonical symbolic constant.
-    pub var_sorts: Vec<Sort>,
-    /// Signature (argument widths, result width) of each canonical UF.
-    pub uf_sigs: Vec<(Vec<u32>, u32)>,
-}
-
-/// A session reduced to its portable core plus the caller-side back map.
-///
-/// There is deliberately no cache key here: sessions are never cached as
-/// a unit — the engine consults the two-tier cache per sub-query (using
-/// each sub-query's own [`Prepared::key`]) before deciding what reaches
-/// a session at all.
-pub struct SessionPrepared {
-    /// The portable core (shared with the worker).
-    pub core: SessionCore,
-    /// Canonical-index → caller-term translation, covering every var and
-    /// UF reachable from the base *or any* goal.
-    pub backmap: BackMap,
-}
-
-/// Extracts the portable form of a session: `assumptions` shared by all
-/// of `goals` (each goal is negated here, on the caller thread, so the
-/// worker can assert it directly).
-///
-/// Must run on the thread that owns the terms.
-pub fn prepare_session(assumptions: &[SBool], goals: &[SBool]) -> SessionPrepared {
-    let mut nz = Normalizer::default();
-    let base_roots: Vec<u32> = canonical_roots(assumptions.iter().copied())
-        .into_iter()
-        .map(|r| nz.add_root(r))
-        .collect();
-    let goal_roots: Vec<u32> = goals.iter().map(|&g| nz.add_root((!g).0)).collect();
-    SessionPrepared {
-        core: SessionCore {
+    let goals: Vec<u32> = goals.iter().map(|g| nz.add_root(g.0)).collect();
+    Prepared {
+        core: Core {
             nodes: nz.nodes,
-            base_roots,
-            goal_roots,
+            asms,
+            goals,
             var_sorts: nz.var_sorts,
             uf_sigs: nz.uf_sigs,
         },
@@ -274,102 +228,62 @@ pub fn prepare_session(assumptions: &[SBool], goals: &[SBool]) -> SessionPrepare
     }
 }
 
-/// Rebuilds a [`FormCore`] inside the *current* thread's term context.
+/// A [`Core`] rebuilt inside the current thread's term context.
 pub struct Rebuilt {
-    /// The assertion roots, ready for `smt::check_full`.
-    pub roots: Vec<SBool>,
-    /// Canonical var index → term in this thread's context.
-    pub var_terms: Vec<TermId>,
-    /// Canonical UF index → UF id in this thread's context.
-    pub uf_ids: Vec<UfId>,
+    /// The assumptions, as real terms.
+    pub assumptions: Vec<SBool>,
+    /// The goals (un-negated), in core order.
+    pub goals: Vec<SBool>,
+    /// Canonical-index → this-thread translation, so solver models can be
+    /// projected back onto the core's numbering.
+    pub backmap: BackMap,
 }
 
-/// Interns a portable node array into `c`, declaring canonical UFs and
-/// vars along the way. Returns (node index → term, var terms, UF ids).
-fn materialize(
-    c: &mut Ctx,
-    nodes: &[FormNode],
-    var_sorts: &[Sort],
-    uf_sigs: &[(Vec<u32>, u32)],
-) -> (Vec<TermId>, Vec<TermId>, Vec<UfId>) {
-    let uf_ids: Vec<UfId> = uf_sigs
-        .iter()
-        .enumerate()
-        .map(|(i, (args, result))| c.declare_uf(&format!("uf{i}"), args.clone(), *result))
-        .collect();
-    let mut var_terms: Vec<TermId> = vec![TermId(0); var_sorts.len()];
-    let mut ids: Vec<TermId> = Vec::with_capacity(nodes.len());
-    for node in nodes {
-        let children: Vec<TermId> = node.children.iter().map(|&i| ids[i as usize]).collect();
-        let id = match node.op {
-            // Each canonical var appears as exactly one node, so this
-            // assigns every `var_terms` slot exactly once.
-            Op::Var(k) => {
-                let t = c.fresh_var(node.sort, &format!("q{k}"));
-                var_terms[k as usize] = t;
-                t
-            }
-            Op::UfApply(UfId(k)) => c.intern(Term {
-                op: Op::UfApply(uf_ids[k as usize]),
-                children,
-                sort: node.sort,
-            }),
-            ref op => c.intern(Term {
-                op: op.clone(),
-                children,
-                sort: node.sort,
-            }),
-        };
-        ids.push(id);
-    }
-    (ids, var_terms, uf_ids)
-}
-
-/// Materializes the portable form as real terms on the current thread.
-pub fn rebuild(core: &FormCore) -> Rebuilt {
+/// Materializes a core as real terms on the current thread, declaring
+/// its canonical UFs and vars along the way.
+pub fn rebuild(core: &Core) -> Rebuilt {
     with_ctx(|c| {
-        let (ids, var_terms, uf_ids) =
-            materialize(c, &core.nodes, &core.var_sorts, &core.uf_sigs);
+        let ufs: Vec<UfId> = core
+            .uf_sigs
+            .iter()
+            .enumerate()
+            .map(|(i, (args, result))| c.declare_uf(&format!("uf{i}"), args.clone(), *result))
+            .collect();
+        let mut vars: Vec<VarOrigin> = Vec::with_capacity(core.var_sorts.len());
+        let mut ids: Vec<TermId> = Vec::with_capacity(core.nodes.len());
+        for node in &core.nodes {
+            let children: Vec<TermId> = node.children.iter().map(|&i| ids[i as usize]).collect();
+            let id = match node.op {
+                // The k-th var node carries index k (the decoder enforces
+                // it), so pushing in node order fills `vars` by index.
+                Op::Var(k) => {
+                    let term = c.fresh_var(node.sort, &format!("q{k}"));
+                    vars.push(VarOrigin { term, sort: node.sort });
+                    term
+                }
+                Op::UfApply(UfId(k)) => c.intern(Term {
+                    op: Op::UfApply(ufs[k as usize]),
+                    children,
+                    sort: node.sort,
+                }),
+                ref op => c.intern(Term {
+                    op: op.clone(),
+                    children,
+                    sort: node.sort,
+                }),
+            };
+            ids.push(id);
+        }
+        let roots = |rs: &[u32]| rs.iter().map(|&r| SBool(ids[r as usize])).collect();
         Rebuilt {
-            roots: core.roots.iter().map(|&r| SBool(ids[r as usize])).collect(),
-            var_terms,
-            uf_ids,
+            assumptions: roots(&core.asms),
+            goals: roots(&core.goals),
+            backmap: BackMap { vars, ufs },
         }
     })
 }
 
-/// A [`SessionCore`] rebuilt inside the current thread's term context.
-pub struct SessionRebuilt {
-    /// The shared assumptions, ready for [`serval_smt::Session::assume`].
-    pub base: Vec<SBool>,
-    /// The *negated* goals, in submission order, ready for
-    /// [`serval_smt::Session::solve_negated`].
-    pub neg_goals: Vec<SBool>,
-    /// Canonical var index → term in this thread's context.
-    pub var_terms: Vec<TermId>,
-    /// Canonical UF index → UF id in this thread's context.
-    pub uf_ids: Vec<UfId>,
-}
-
-/// Materializes a session core as real terms on the current thread.
-pub fn rebuild_session(core: &SessionCore) -> SessionRebuilt {
-    with_ctx(|c| {
-        let (ids, var_terms, uf_ids) =
-            materialize(c, &core.nodes, &core.var_sorts, &core.uf_sigs);
-        SessionRebuilt {
-            base: core.base_roots.iter().map(|&r| SBool(ids[r as usize])).collect(),
-            neg_goals: core
-                .goal_roots
-                .iter()
-                .map(|&r| SBool(ids[r as usize]))
-                .collect(),
-            var_terms,
-            uf_ids,
-        }
-    })
-}
-
-/// Per-root alpha-invariant key, used only to order assertion roots.
+/// Per-root alpha-invariant key, used only to order assumption roots.
 fn local_key(root: TermId) -> Vec<u8> {
     let mut local: HashMap<TermId, u32> = HashMap::new();
     let mut var_of: HashMap<u32, u32> = HashMap::new();
@@ -410,37 +324,6 @@ fn local_key(root: TermId) -> Vec<u8> {
     out
 }
 
-/// The cache key: a versioned, deterministic byte serialization of the
-/// whole core. The solver configuration is deliberately *not* part of
-/// the key — only definitive verdicts (proved / refuted) are cached, and
-/// those are independent of search parameters.
-pub fn cache_key(core: &FormCore) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"SQ1\0");
-    push_u32(&mut out, core.nodes.len() as u32);
-    for n in &core.nodes {
-        encode_node(&n.op, &n.children, n.sort, &mut out);
-    }
-    push_u32(&mut out, core.roots.len() as u32);
-    for &r in &core.roots {
-        push_u32(&mut out, r);
-    }
-    push_u32(&mut out, core.var_sorts.len() as u32);
-    for &s in &core.var_sorts {
-        encode_sort(s, &mut out);
-    }
-    push_u32(&mut out, core.uf_sigs.len() as u32);
-    for (args, result) in &core.uf_sigs {
-        push_u32(&mut out, args.len() as u32);
-        for &a in args {
-            push_u32(&mut out, a);
-        }
-        push_u32(&mut out, *result);
-    }
-    out.push(core.trivially_unsat as u8);
-    out
-}
-
 /// Flattens the top-level `And` structure of `goal` into its conjuncts,
 /// in left-to-right order; returns `[goal]` when the goal is not a
 /// conjunction. Splitting is the engine-side counterpart of the paper's
@@ -470,136 +353,182 @@ pub fn split_goal(goal: SBool, cap: usize) -> Vec<SBool> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Wire form: the network-portable serialization of a query.
-//
-// The cache form above merges `assumptions ∧ ¬goal` into one root set,
-// which is exactly what a solver wants but loses the assumption/goal
-// distinction a *server* needs: the receiving engine re-runs the full
-// presolve/split/session pipeline, and those stages treat the goal
-// specially. The wire core therefore keeps assumption roots and the
-// (un-negated) goal root separate, and `wire_bytes`/`wire_from_bytes`
-// give it a versioned, *validated* byte encoding — the decoder must
-// survive arbitrary adversarial bytes, because it sits behind a TCP
-// socket, so every structural invariant the builders establish
-// (arities, sorts, widths, postorder child indices, var/UF consistency)
-// is re-checked before a single term is interned.
-// ---------------------------------------------------------------------------
+/// Encoding version tag. Bump when the layout or the operator tags
+/// change: the on-disk cache tier stores these bytes as keys.
+const MAGIC: &[u8; 4] = b"SQ2\0";
 
-/// The network-portable form of a query: assumption roots plus the
-/// un-negated goal root over one shared postorder node array. The byte
-/// encoding ([`wire_bytes`]) is alpha-invariant for the same reason the
-/// cache key is, so servers can key routing and hot-query detection on
-/// the raw frame bytes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireCore {
-    /// Term DAG in deterministic postorder.
-    pub nodes: Vec<FormNode>,
-    /// Assumption roots (deduplicated, canonically ordered).
-    pub asm_roots: Vec<u32>,
-    /// The goal root (NOT negated — the server's engine negates it).
-    pub goal_root: u32,
-    /// Sort of each canonical symbolic constant.
-    pub var_sorts: Vec<Sort>,
-    /// Signature (argument widths, result width) of each canonical UF.
-    pub uf_sigs: Vec<(Vec<u32>, u32)>,
-}
-
-/// A query reduced to wire form plus the client-side back map.
-pub struct WirePrepared {
-    /// The portable core.
-    pub core: WireCore,
-    /// Canonical-index → caller-term translation (for countermodels).
-    pub backmap: BackMap,
-}
-
-/// Extracts the wire form of `(assumptions, goal)`.
-///
-/// Must run on the thread that owns the terms.
-pub fn prepare_wire(assumptions: &[SBool], goal: SBool) -> WirePrepared {
-    let mut nz = Normalizer::default();
-    let asm_roots: Vec<u32> = canonical_roots(assumptions.iter().copied())
-        .into_iter()
-        .map(|r| nz.add_root(r))
-        .collect();
-    let goal_root = nz.add_root(goal.0);
-    WirePrepared {
-        core: WireCore {
-            nodes: nz.nodes,
-            asm_roots,
-            goal_root,
-            var_sorts: nz.var_sorts,
-            uf_sigs: nz.uf_sigs,
-        },
-        backmap: nz.backmap,
+impl Core {
+    /// Whether the query is proved without solving: some assumption root
+    /// is the constant `false`, or some goal root is the constant `true`
+    /// (for a one-goal core, the `check` fast path).
+    pub fn trivially_unsat(&self) -> bool {
+        let is = |r: &u32, b: bool| self.nodes[*r as usize].op == Op::BoolConst(b);
+        self.asms.iter().any(|r| is(r, false)) || self.goals.iter().any(|r| is(r, true))
     }
-}
 
-/// A [`WireCore`] rebuilt inside the current thread's term context.
-pub struct WireRebuilt {
-    /// The assumptions, as real terms.
-    pub assumptions: Vec<SBool>,
-    /// The goal, as a real term.
-    pub goal: SBool,
-    /// Canonical-index → this-thread translation, so a server can
-    /// project solver models back onto the *wire* numbering before
-    /// shipping them to the client.
-    pub backmap: BackMap,
-}
+    /// The core's bytes. Layout (all integers little-endian): magic, var
+    /// sorts, UF signatures, nodes, assumption roots, goal roots —
+    /// declarations before nodes so [`Core::decode`] validates in one
+    /// pass. The solver configuration is deliberately *not* part of the
+    /// bytes: only definitive verdicts are cached, and those are
+    /// independent of search parameters.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        push_u32(&mut out, self.var_sorts.len() as u32);
+        for &s in &self.var_sorts {
+            encode_sort(s, &mut out);
+        }
+        push_u32(&mut out, self.uf_sigs.len() as u32);
+        for (args, result) in &self.uf_sigs {
+            push_u32(&mut out, args.len() as u32);
+            for &a in args {
+                push_u32(&mut out, a);
+            }
+            push_u32(&mut out, *result);
+        }
+        push_u32(&mut out, self.nodes.len() as u32);
+        for n in &self.nodes {
+            encode_node(&n.op, &n.children, n.sort, &mut out);
+        }
+        for roots in [&self.asms, &self.goals] {
+            push_u32(&mut out, roots.len() as u32);
+            for &r in roots {
+                push_u32(&mut out, r);
+            }
+        }
+        out
+    }
 
-/// Materializes a wire core as real terms on the current thread.
-pub fn rebuild_wire(core: &WireCore) -> WireRebuilt {
-    with_ctx(|c| {
-        let (ids, var_terms, uf_ids) =
-            materialize(c, &core.nodes, &core.var_sorts, &core.uf_sigs);
-        let backmap = BackMap {
-            vars: var_terms
-                .iter()
-                .zip(&core.var_sorts)
-                .map(|(&term, &sort)| VarOrigin { term, sort })
-                .collect(),
-            ufs: uf_ids,
+    /// Decodes and fully validates a core from untrusted bytes.
+    ///
+    /// Success means the core satisfies every invariant [`rebuild`]
+    /// assumes: postorder child indices, canonical var nodes (the k-th
+    /// `Var` node carries index k, and every declared var has its node),
+    /// in-range UF references, consistent sorts, builder-legal arities
+    /// and widths, Bool roots. On any violation the *whole* core is
+    /// rejected — no partial decode.
+    pub fn decode(bytes: &[u8]) -> Result<Core, &'static str> {
+        if bytes.len() < 4 || &bytes[..4] != MAGIC {
+            return Err("bad core magic");
+        }
+        let mut rd = Rd { b: bytes, at: 4 };
+        let n_vars = rd.count(1)?;
+        let mut var_sorts = Vec::with_capacity(n_vars);
+        for _ in 0..n_vars {
+            var_sorts.push(rd.sort()?);
+        }
+        let n_ufs = rd.count(8)?;
+        let mut uf_sigs = Vec::with_capacity(n_ufs);
+        for _ in 0..n_ufs {
+            let n_args = rd.count(4)?;
+            let mut args = Vec::with_capacity(n_args);
+            for _ in 0..n_args {
+                let w = rd.u32()?;
+                if !(1..=128).contains(&w) {
+                    return Err("UF argument width out of range");
+                }
+                args.push(w);
+            }
+            let result = rd.u32()?;
+            if !(1..=128).contains(&result) {
+                return Err("UF result width out of range");
+            }
+            uf_sigs.push((args, result));
+        }
+        let n_nodes = rd.count(6)?;
+        let mut nodes: Vec<Node> = Vec::with_capacity(n_nodes);
+        let mut sorts: Vec<Sort> = Vec::with_capacity(n_nodes);
+        let mut var_nodes = 0usize;
+        for idx in 0..n_nodes {
+            let op = match rd.u8()? {
+                0 => match rd.u8()? {
+                    0 => Op::BoolConst(false),
+                    1 => Op::BoolConst(true),
+                    _ => return Err("bool constant payload invalid"),
+                },
+                1 => Op::BvConst(rd.u128()?),
+                2 => Op::Var(rd.u32()?),
+                3 => Op::Not,
+                4 => Op::And,
+                5 => Op::Or,
+                6 => Op::Xor,
+                7 => Op::Iff,
+                8 => Op::IteBool,
+                9 => Op::Eq,
+                10 => Op::Ult,
+                11 => Op::Ule,
+                12 => Op::Slt,
+                13 => Op::Sle,
+                14 => Op::BvNot,
+                15 => Op::BvNeg,
+                16 => Op::BvAnd,
+                17 => Op::BvOr,
+                18 => Op::BvXor,
+                19 => Op::BvAdd,
+                20 => Op::BvSub,
+                21 => Op::BvMul,
+                22 => Op::BvUdiv,
+                23 => Op::BvUrem,
+                24 => Op::BvShl,
+                25 => Op::BvLshr,
+                26 => Op::BvAshr,
+                27 => Op::Concat,
+                28 => {
+                    let hi = rd.u32()?;
+                    let lo = rd.u32()?;
+                    Op::Extract(hi, lo)
+                }
+                29 => Op::ZeroExt,
+                30 => Op::SignExt,
+                31 => Op::IteBv,
+                32 => Op::UfApply(UfId(rd.u32()?)),
+                _ => return Err("unknown operator tag"),
+            };
+            let sort = rd.sort()?;
+            let n_children = rd.count(4)?;
+            let mut children = Vec::with_capacity(n_children);
+            for _ in 0..n_children {
+                let c = rd.u32()?;
+                if c as usize >= idx {
+                    return Err("child index breaks postorder");
+                }
+                children.push(c);
+            }
+            check_node(&op, &children, sort, &sorts, &var_sorts, &uf_sigs)?;
+            if let Op::Var(k) = op {
+                // One node per var, numbered by first encounter: a second
+                // node for the same var would rebuild as a distinct constant.
+                if k as usize != var_nodes {
+                    return Err("var node out of canonical order");
+                }
+                var_nodes += 1;
+            }
+            sorts.push(sort);
+            nodes.push(Node { op, children, sort });
+        }
+        if var_nodes != var_sorts.len() {
+            return Err("declared var has no node");
+        }
+        let mut roots = || -> Result<Vec<u32>, &'static str> {
+            let n = rd.count(4)?;
+            let mut out = Vec::with_capacity(n);
+            for _ in 0..n {
+                let r = rd.u32()?;
+                if sorts.get(r as usize) != Some(&Sort::Bool) {
+                    return Err("root must be an in-range Bool node");
+                }
+                out.push(r);
+            }
+            Ok(out)
         };
-        WireRebuilt {
-            assumptions: core.asm_roots.iter().map(|&r| SBool(ids[r as usize])).collect(),
-            goal: SBool(ids[core.goal_root as usize]),
-            backmap,
+        let asms = roots()?;
+        let goals = roots()?;
+        if rd.at != bytes.len() {
+            return Err("trailing garbage after core");
         }
-    })
-}
-
-/// Wire encoding version tag. Bump when the node encoding changes.
-const WIRE_MAGIC: &[u8; 4] = b"SW1\0";
-
-/// Serializes a wire core. Layout (all integers little-endian):
-/// magic, var sorts, UF signatures, nodes, assumption roots, goal root —
-/// declarations before nodes so [`wire_from_bytes`] validates in one
-/// pass.
-pub fn wire_bytes(core: &WireCore) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(WIRE_MAGIC);
-    push_u32(&mut out, core.var_sorts.len() as u32);
-    for &s in &core.var_sorts {
-        encode_sort(s, &mut out);
+        Ok(Core { nodes, asms, goals, var_sorts, uf_sigs })
     }
-    push_u32(&mut out, core.uf_sigs.len() as u32);
-    for (args, result) in &core.uf_sigs {
-        push_u32(&mut out, args.len() as u32);
-        for &a in args {
-            push_u32(&mut out, a);
-        }
-        push_u32(&mut out, *result);
-    }
-    push_u32(&mut out, core.nodes.len() as u32);
-    for n in &core.nodes {
-        encode_node(&n.op, &n.children, n.sort, &mut out);
-    }
-    push_u32(&mut out, core.asm_roots.len() as u32);
-    for &r in &core.asm_roots {
-        push_u32(&mut out, r);
-    }
-    push_u32(&mut out, core.goal_root);
-    out
 }
 
 /// Little-endian cursor over untrusted bytes. Every read is
@@ -806,121 +735,6 @@ fn check_node(
     Ok(())
 }
 
-/// Decodes and fully validates a wire core from untrusted bytes.
-///
-/// Success means the core satisfies every invariant `materialize`
-/// assumes: postorder child indices, in-range var/UF references with
-/// consistent sorts, builder-legal arities and widths, Bool roots. On
-/// any violation the *whole* core is rejected — no partial decode.
-pub fn wire_from_bytes(bytes: &[u8]) -> Result<WireCore, &'static str> {
-    if bytes.len() < 4 || &bytes[..4] != WIRE_MAGIC {
-        return Err("bad wire magic");
-    }
-    let mut rd = Rd { b: bytes, at: 4 };
-    let n_vars = rd.count(1)?;
-    let mut var_sorts = Vec::with_capacity(n_vars);
-    for _ in 0..n_vars {
-        var_sorts.push(rd.sort()?);
-    }
-    let n_ufs = rd.count(8)?;
-    let mut uf_sigs = Vec::with_capacity(n_ufs);
-    for _ in 0..n_ufs {
-        let n_args = rd.count(4)?;
-        let mut args = Vec::with_capacity(n_args);
-        for _ in 0..n_args {
-            let w = rd.u32()?;
-            if !(1..=128).contains(&w) {
-                return Err("UF argument width out of range");
-            }
-            args.push(w);
-        }
-        let result = rd.u32()?;
-        if !(1..=128).contains(&result) {
-            return Err("UF result width out of range");
-        }
-        uf_sigs.push((args, result));
-    }
-    let n_nodes = rd.count(6)?;
-    let mut nodes: Vec<FormNode> = Vec::with_capacity(n_nodes);
-    let mut sorts: Vec<Sort> = Vec::with_capacity(n_nodes);
-    for idx in 0..n_nodes {
-        let op = match rd.u8()? {
-            0 => match rd.u8()? {
-                0 => Op::BoolConst(false),
-                1 => Op::BoolConst(true),
-                _ => return Err("bool constant payload invalid"),
-            },
-            1 => Op::BvConst(rd.u128()?),
-            2 => Op::Var(rd.u32()?),
-            3 => Op::Not,
-            4 => Op::And,
-            5 => Op::Or,
-            6 => Op::Xor,
-            7 => Op::Iff,
-            8 => Op::IteBool,
-            9 => Op::Eq,
-            10 => Op::Ult,
-            11 => Op::Ule,
-            12 => Op::Slt,
-            13 => Op::Sle,
-            14 => Op::BvNot,
-            15 => Op::BvNeg,
-            16 => Op::BvAnd,
-            17 => Op::BvOr,
-            18 => Op::BvXor,
-            19 => Op::BvAdd,
-            20 => Op::BvSub,
-            21 => Op::BvMul,
-            22 => Op::BvUdiv,
-            23 => Op::BvUrem,
-            24 => Op::BvShl,
-            25 => Op::BvLshr,
-            26 => Op::BvAshr,
-            27 => Op::Concat,
-            28 => {
-                let hi = rd.u32()?;
-                let lo = rd.u32()?;
-                Op::Extract(hi, lo)
-            }
-            29 => Op::ZeroExt,
-            30 => Op::SignExt,
-            31 => Op::IteBv,
-            32 => Op::UfApply(UfId(rd.u32()?)),
-            _ => return Err("unknown operator tag"),
-        };
-        let sort = rd.sort()?;
-        let n_children = rd.count(4)?;
-        let mut children = Vec::with_capacity(n_children);
-        for _ in 0..n_children {
-            let c = rd.u32()?;
-            if c as usize >= idx {
-                return Err("child index breaks postorder");
-            }
-            children.push(c);
-        }
-        check_node(&op, &children, sort, &sorts, &var_sorts, &uf_sigs)?;
-        sorts.push(sort);
-        nodes.push(FormNode { op, children, sort });
-    }
-    let n_asm = rd.count(4)?;
-    let mut asm_roots = Vec::with_capacity(n_asm);
-    for _ in 0..n_asm {
-        let r = rd.u32()?;
-        if sorts.get(r as usize) != Some(&Sort::Bool) {
-            return Err("assumption root must be an in-range Bool node");
-        }
-        asm_roots.push(r);
-    }
-    let goal_root = rd.u32()?;
-    if sorts.get(goal_root as usize) != Some(&Sort::Bool) {
-        return Err("goal root must be an in-range Bool node");
-    }
-    if rd.at != bytes.len() {
-        return Err("trailing garbage after wire core");
-    }
-    Ok(WireCore { nodes, asm_roots, goal_root, var_sorts, uf_sigs })
-}
-
 fn fetch(t: TermId) -> (Op, Vec<TermId>, Sort) {
     with_ctx(|c| {
         let n = c.term(t);
@@ -937,7 +751,7 @@ fn push_u128(out: &mut Vec<u8>, v: u128) {
 }
 
 /// Stable operator tags. Appending new operators is fine; renumbering
-/// existing ones invalidates on-disk caches (bump the `SQ` version).
+/// existing ones invalidates on-disk caches (bump [`MAGIC`]).
 fn encode_node(op: &Op, children: &[u32], sort: Sort, out: &mut Vec<u8>) {
     match op {
         Op::BoolConst(b) => {

@@ -5,11 +5,18 @@
 //! queries, and the JIT checker emits one query per BPF opcode — but the
 //! term DAG they are phrased over is *thread-local*. This crate bridges
 //! the two: a [`Query`] (assumptions + goal + label) is re-serialized
-//! into a portable, alpha-invariant normal form ([`form`]), solved on a
+//! into a portable, alpha-invariant [`form::Core`], solved on a
 //! from-scratch work-stealing thread pool ([`pool`]), memoized in a
-//! two-tier cache keyed on the normal form ([`cache`]), and optionally
-//! raced across several solver configurations with cooperative
-//! cancellation ([`solve`]).
+//! two-tier cache keyed on the bytes of its one-goal core ([`cache`]),
+//! and optionally raced across several solver configurations with
+//! cooperative cancellation ([`solve`]). The same core format carries a
+//! whole assumption group (one core, k goals) to a session worker and a
+//! query over the wire to `servald`.
+//!
+//! Every countermodel is a claim, not a fact: a cached `Refuted` hit is
+//! re-evaluated against the query before it is served (and evicted on
+//! mismatch), and every outgoing `Counterexample` is re-evaluated
+//! against the query as submitted and demoted to `Unknown` on mismatch.
 //!
 //! Results stream back in deterministic submission order with identical
 //! verdicts regardless of worker count, so `SERVAL_JOBS=1` and
@@ -25,7 +32,7 @@
 //! | `SERVAL_SPLIT`     | `0`/`off` → disable goal conjunction splitting (on by default; see [`form::split_goal`]) |
 //! | `SERVAL_MODE`      | `fresh` / `session` / `auto` — the discharge mode (default `session`: sub-queries sharing an assumption set are solved in one live session, see [`solve::solve_session`]; `fresh` gives each sub-query its own solver; `auto` decides per assumption group from predicted reuse, group size × shared-base cone ratio; see [`DischargeMode`]). Ignored when `SERVAL_PORTFOLIO` is on: a portfolio race needs independent solvers. |
 //! | `SERVAL_PRESOLVE`  | `0`/`off` → disable word-level presolve, handing the solver the raw obligation DAG (on by default; each query's assumption base is otherwise simplified once — equality substitution, known-bits/interval folding, cone-of-influence reduction — and the cache keys on the *simplified* normal form; see [`serval_smt::presolve`]). |
-//! | `SERVAL_CERT`      | `0`/`off` → disable proof certificates (on by default: every solver `Unsat` must present a DRAT-style proof accepted by the independent `serval-drat` checker before it becomes `Proved`; cached `Proved` entries carry the certificate fingerprint and uncertified disk records are ignored; cached `Refuted` hits re-evaluate their stored countermodel against the term semantics and are evicted on mismatch). |
+//! | `SERVAL_CERT`      | `0`/`off` → disable proof certificates (on by default: every solver `Unsat` must present a DRAT-style proof accepted by the independent `serval-drat` checker before it becomes `Proved`; cached `Proved` entries carry the certificate fingerprint and uncertified disk records are ignored). |
 //!
 //! Below the engine, every solve runs one pipeline with no switches:
 //! polarity-aware blasting, SAT inprocessing (plan-scoped variable
@@ -43,7 +50,7 @@ mod tests;
 pub use form::Query;
 
 use cache::{Cache, CachedVerdict};
-use form::{prepare, prepare_session, BackMap};
+use form::{prepare, BackMap, Prepared};
 use pool::Pool;
 use serval_sat::ProofStep;
 use serval_smt::bv::SBool;
@@ -383,6 +390,52 @@ impl Engine {
         }
     }
 
+    /// Normalizes `assumptions ⊢ goal` into its one-goal core and asks
+    /// the cache about it under the core's bytes. A trivially unsat core
+    /// never consults the cache. `counted` picks a counted lookup or an
+    /// uncounted probe (see [`Cache::probe`]).
+    ///
+    /// A `Refuted` hit is a claim, whether or not certificates are on:
+    /// its stored countermodel is re-evaluated against `assumptions` and
+    /// `goal`, and an entry that no longer refutes them is evicted and
+    /// reported as a miss, so the query is solved afresh.
+    fn resolve(&self, assumptions: &[SBool], goal: SBool, counted: bool) -> (Prepared, Found) {
+        let prepared = prepare(assumptions, &[goal]);
+        if prepared.core.trivially_unsat() {
+            // Even this fast path's certificate is checker-backed: the
+            // canonical two-step refutation of a formula containing the
+            // empty clause.
+            let cert = if self.cert { trivial_cert_hash() } else { 0 };
+            return (prepared, Found::Ready { result: VerifyResult::Proved, cert, hit: false });
+        }
+        let key = prepared.core.encode();
+        let cached = if counted { self.cache.lookup(&key) } else { self.cache.probe(&key) };
+        let found = match cached {
+            None => Found::Miss { key },
+            Some(CachedVerdict::Proved { cert }) => {
+                Found::Ready { result: VerifyResult::Proved, cert, hit: true }
+            }
+            Some(CachedVerdict::Refuted(pm)) => match portable_to_model(&pm, &prepared.backmap)
+                .filter(|m| refutes(m, assumptions, goal))
+            {
+                Some(m) => Found::Ready {
+                    result: VerifyResult::Counterexample(Box::new(m)),
+                    cert: 0,
+                    hit: true,
+                },
+                None => {
+                    if counted {
+                        self.cache.evict(&key);
+                    } else {
+                        self.cache.evict_uncounted(&key);
+                    }
+                    Found::Miss { key }
+                }
+            },
+        };
+        (prepared, found)
+    }
+
     /// Discharges one query (see [`Engine::submit_batch`]).
     pub fn submit(&self, query: Query) -> QueryOutcome {
         self.submit_batch(vec![query])
@@ -413,8 +466,8 @@ impl Engine {
             Session { group: usize, goal: usize },
         }
         enum Sub {
-            /// Conjunct resolved without solving (trivial, or cached).
-            Ready { verdict: CachedVerdict, backmap: BackMap, hit: bool },
+            /// Conjunct settled without solving (trivial, or cached).
+            Ready { result: VerifyResult, cert: u64, hit: bool },
             /// Conjunct waiting on solver work.
             Wait { work: Work, backmap: BackMap, key: Vec<u8> },
         }
@@ -471,49 +524,18 @@ impl Engine {
         let queries: Vec<Query> = if self.presolve {
             let mut kept: Vec<Query> = Vec::with_capacity(n);
             for (i, q) in queries.into_iter().enumerate() {
-                let raw = prepare(&q.assumptions, q.goal);
-                if raw.core.trivially_unsat {
-                    self.trivial.fetch_add(1, Ordering::Relaxed);
-                    slots[i] = Some(QueryOutcome {
-                        label: q.label,
-                        result: VerifyResult::Proved,
-                        stats: None,
-                        wall: Duration::ZERO,
-                        cache_hit: false,
-                        variant: 0,
-                        cert: self.cert.then(trivial_cert_hash),
-                        error: None,
-                    });
-                    continue;
-                }
-                let mut cached = self.cache.lookup(&raw.key);
-                if self.cert {
-                    if let Some(CachedVerdict::Refuted(pm)) = &cached {
-                        if !countermodel_valid(pm, &raw.backmap, &q.assumptions, q.goal) {
-                            self.cache.evict(&raw.key);
-                            cached = None;
+                match self.resolve(&q.assumptions, q.goal, true) {
+                    (raw, Found::Miss { key }) => {
+                        raw_infos[i] = Some((key, raw.backmap));
+                        kept.push(q);
+                    }
+                    (_, Found::Ready { result, cert, hit }) => {
+                        if !hit {
+                            self.trivial.fetch_add(1, Ordering::Relaxed);
                         }
+                        slots[i] = Some(settled(q.label, result, cert, hit));
                     }
                 }
-                if let Some(cached) = cached {
-                    let cert = match &cached {
-                        CachedVerdict::Proved { cert } => (*cert != 0).then_some(*cert),
-                        CachedVerdict::Refuted(_) => None,
-                    };
-                    slots[i] = Some(QueryOutcome {
-                        label: q.label,
-                        result: rehydrate(cached, &raw.backmap),
-                        stats: None,
-                        wall: Duration::ZERO,
-                        cache_hit: true,
-                        variant: 0,
-                        cert,
-                        error: None,
-                    });
-                    continue;
-                }
-                raw_infos[i] = Some((raw.key, raw.backmap));
-                kept.push(q);
             }
             kept
         } else {
@@ -600,7 +622,7 @@ impl Engine {
         let mut pending: Vec<Pending> = Vec::new();
         let mut tasks: Vec<Box<dyn FnOnce() -> Vec<RawOutcome> + Send + 'static>> = Vec::new();
         let push_task = |tasks: &mut Vec<Box<dyn FnOnce() -> Vec<RawOutcome> + Send + 'static>>,
-                             core: form::FormCore,
+                             core: form::Core,
                              cfg: SolverConfig|
          -> usize {
             let core = Arc::new(core);
@@ -664,70 +686,23 @@ impl Engine {
             // In presolve mode every query reaching this loop already
             // missed under its raw key (hits and trivial short-circuits
             // resolved in the pre-pass above); its counted lookup is
-            // spent, so everything below probes uncounted.
+            // spent, so this one probes uncounted.
             let raw_missed = raw_infos[i].is_some();
-            let prepared = prepare(&q.assumptions, q.goal);
-            if prepared.core.trivially_unsat {
-                // Only counted trivial if it never consulted the cache
-                // (see [`Engine::query_counts`]): a query that presolve
-                // *folded* to trivial did miss under its raw key, and
-                // gets that key recorded at finalization so warm reruns
-                // hit instead. Even this fast path's certificate is
-                // checker-backed: the canonical two-step refutation of a
-                // formula containing the empty clause.
-                if !raw_missed {
-                    self.trivial.fetch_add(1, Ordering::Relaxed);
-                }
-                slots[i] = Some(QueryOutcome {
-                    label: q.label,
-                    result: VerifyResult::Proved,
-                    stats: None,
-                    wall: Duration::ZERO,
-                    cache_hit: false,
-                    variant: 0,
-                    cert: self.cert.then(trivial_cert_hash),
-                    error: None,
-                });
-                continue;
-            }
-            let mut cached = if raw_missed {
-                self.cache.probe(&prepared.key)
-            } else {
-                self.cache.lookup(&prepared.key)
-            };
-            if self.cert {
-                // A warm `Refuted` hit is a claim: re-evaluate the stored
-                // countermodel against the term semantics, and evict the
-                // entry (falling through to a fresh solve) if it no
-                // longer refutes this query.
-                if let Some(CachedVerdict::Refuted(pm)) = &cached {
-                    if !countermodel_valid(pm, &prepared.backmap, &q.assumptions, q.goal) {
-                        if raw_missed {
-                            self.cache.evict_uncounted(&prepared.key);
-                        } else {
-                            self.cache.evict(&prepared.key);
-                        }
-                        cached = None;
+            let (prepared, key) = match self.resolve(&q.assumptions, q.goal, !raw_missed) {
+                (prepared, Found::Miss { key }) => (prepared, key),
+                (_, Found::Ready { result, cert, hit }) => {
+                    // Only counted trivial if it never consulted the
+                    // cache (see [`Engine::query_counts`]): a query that
+                    // presolve *folded* to trivial did miss under its raw
+                    // key, and gets that key recorded at finalization so
+                    // warm reruns hit instead.
+                    if !hit && !raw_missed {
+                        self.trivial.fetch_add(1, Ordering::Relaxed);
                     }
+                    slots[i] = Some(settled(q.label, result, cert, hit));
+                    continue;
                 }
-            }
-            if let Some(cached) = cached {
-                let cert = match &cached {
-                    CachedVerdict::Proved { cert } => (*cert != 0).then_some(*cert),
-                    CachedVerdict::Refuted(_) => None,
-                };
-                slots[i] = Some(QueryOutcome {
-                    label: q.label,
-                    result: rehydrate(cached, &prepared.backmap),
-                    stats: None,
-                    wall: Duration::ZERO,
-                    cache_hit: true,
-                    variant: 0,
-                    cert,
-                    error: None,
-                });
-                continue;
-            }
+            };
             let conjuncts = if self.split {
                 form::split_goal(q.goal, SPLIT_CAP)
             } else {
@@ -736,62 +711,26 @@ impl Engine {
             if conjuncts.len() > 1 {
                 let mut subs = Vec::with_capacity(conjuncts.len());
                 for c in conjuncts {
-                    let sp = prepare(&q.assumptions, c);
-                    if sp.core.trivially_unsat {
-                        subs.push(Sub::Ready {
-                            verdict: CachedVerdict::Proved {
-                                cert: if self.cert { trivial_cert_hash() } else { 0 },
-                            },
-                            backmap: sp.backmap,
-                            hit: false,
-                        });
-                        continue;
-                    }
-                    let mut cached = self.cache.lookup(&sp.key);
-                    if self.cert {
-                        if let Some(CachedVerdict::Refuted(pm)) = &cached {
-                            if !countermodel_valid(pm, &sp.backmap, &q.assumptions, c) {
-                                self.cache.evict(&sp.key);
-                                cached = None;
-                            }
+                    subs.push(match self.resolve(&q.assumptions, c, true) {
+                        (_, Found::Ready { result, cert, hit }) => Sub::Ready { result, cert, hit },
+                        (sp, Found::Miss { key }) => {
+                            let work = if use_session {
+                                enqueue(&mut groups, &mut group_index, &q.assumptions, c, q.cfg)
+                            } else {
+                                Work::Fresh(push_task(&mut tasks, sp.core, q.cfg))
+                            };
+                            Sub::Wait { work, backmap: sp.backmap, key }
                         }
-                    }
-                    if let Some(cached) = cached {
-                        subs.push(Sub::Ready {
-                            verdict: cached,
-                            backmap: sp.backmap,
-                            hit: true,
-                        });
-                    } else {
-                        let work = if use_session {
-                            enqueue(&mut groups, &mut group_index, &q.assumptions, c, q.cfg)
-                        } else {
-                            Work::Fresh(push_task(&mut tasks, sp.core, q.cfg))
-                        };
-                        subs.push(Sub::Wait {
-                            work,
-                            backmap: sp.backmap,
-                            key: sp.key,
-                        });
-                    }
+                    });
                 }
-                pending.push(Pending::Split {
-                    slot: i,
-                    whole_key: prepared.key,
-                    subs,
-                });
+                pending.push(Pending::Split { slot: i, whole_key: key, subs });
             } else {
                 let work = if use_session {
                     enqueue(&mut groups, &mut group_index, &q.assumptions, q.goal, q.cfg)
                 } else {
                     Work::Fresh(push_task(&mut tasks, prepared.core, q.cfg))
                 };
-                pending.push(Pending::Unit {
-                    slot: i,
-                    work,
-                    backmap: prepared.backmap,
-                    key: prepared.key,
-                });
+                pending.push(Pending::Unit { slot: i, work, backmap: prepared.backmap, key });
             }
             slots[i] = Some(QueryOutcome {
                 label: q.label,
@@ -806,7 +745,7 @@ impl Engine {
         }
 
         // Schedule pool work per assumption group. In `Session` mode
-        // every group becomes one task: the group's portable core is
+        // every group becomes one task: the group's k-goal core is
         // prepared caller-side (it owns the terms) and the worker
         // rebuilds it once, answering every goal on one live solver. In
         // `Auto` mode the reuse predictor decides per group — a group
@@ -823,7 +762,7 @@ impl Engine {
             let as_session =
                 !adaptive || session_score(&g.asms, &g.goals) >= AUTO_SESSION_THRESHOLD;
             if as_session {
-                let sp = prepare_session(&g.asms, &g.goals);
+                let sp = prepare(&g.asms, &g.goals);
                 group_backmaps.push(vec![sp.backmap]);
                 let core = Arc::new(sp.core);
                 let cfg = g.cfg;
@@ -835,7 +774,7 @@ impl Engine {
                 let mut ts = Vec::with_capacity(g.goals.len());
                 let mut bms = Vec::with_capacity(g.goals.len());
                 for &goal in &g.goals {
-                    let sp = prepare(&g.asms, goal);
+                    let sp = prepare(&g.asms, &[goal]);
                     bms.push(sp.backmap);
                     ts.push(push_task(&mut tasks, sp.core, g.cfg));
                 }
@@ -869,14 +808,14 @@ impl Engine {
         // answering every goal under the group backmap; a fresh-
         // discharged group is one single-outcome task per goal, each
         // with its own backmap.
-        let locate = |work: Work| -> (usize, usize, Option<(usize, usize)>) {
+        let locate = |work: Work| -> (usize, usize, Option<&BackMap>) {
             match work {
                 Work::Fresh(t) => (t, 0, None),
                 Work::Session { group, goal } => {
                     if group_sessioned[group] {
-                        (group_tasks[group][0], goal, Some((group, 0)))
+                        (group_tasks[group][0], goal, Some(&group_backmaps[group][0]))
                     } else {
-                        (group_tasks[group][goal], 0, Some((group, goal)))
+                        (group_tasks[group][goal], 0, Some(&group_backmaps[group][goal]))
                     }
                 }
             }
@@ -885,7 +824,7 @@ impl Engine {
             match p {
                 Pending::Unit { slot, work, backmap, key } => {
                     let slot = slots[slot].as_mut().expect("pending slot was initialized");
-                    let (task, idx, sgroup) = locate(work);
+                    let (task, idx, solved_map) = locate(work);
                     match &raw[task] {
                         Err(msg) => {
                             slot.result = VerifyResult::Unknown;
@@ -906,17 +845,9 @@ impl Engine {
                                     slot.result = VerifyResult::Proved;
                                 }
                                 RawVerdict::Refuted(pm) => {
-                                    let pm = match sgroup {
-                                        Some((g, b)) => remap_portable(
-                                            &pm,
-                                            &group_backmaps[g][b],
-                                            &backmap,
-                                        ),
-                                        None => pm,
-                                    };
-                                    slot.result = VerifyResult::Counterexample(Box::new(
-                                        portable_to_model(&pm, &backmap),
-                                    ));
+                                    let (pm, m) =
+                                        rekey(&pm, solved_map.unwrap_or(&backmap), &backmap);
+                                    slot.result = VerifyResult::Counterexample(m);
                                     self.cache.insert(key, CachedVerdict::Refuted(pm));
                                 }
                                 RawVerdict::Unknown => {
@@ -938,27 +869,25 @@ impl Engine {
                     let mut wall = Duration::ZERO;
                     let mut all_hit = true;
                     let mut all_proved = true;
-                    let mut refuted: Option<Model> = None;
+                    let mut refuted: Option<Box<Model>> = None;
                     let mut any_unknown = false;
                     let mut error: Option<String> = None;
                     let mut sub_certs: Vec<u64> = Vec::new();
                     for sub in subs {
                         match sub {
-                            Sub::Ready { verdict, backmap, hit } => {
+                            Sub::Ready { result, cert, hit } => {
                                 all_hit &= hit;
-                                match verdict {
-                                    CachedVerdict::Proved { cert } => sub_certs.push(cert),
-                                    CachedVerdict::Refuted(pm) => {
+                                match result {
+                                    VerifyResult::Counterexample(m) => {
                                         all_proved = false;
-                                        if refuted.is_none() {
-                                            refuted = Some(portable_to_model(&pm, &backmap));
-                                        }
+                                        refuted.get_or_insert(m);
                                     }
+                                    _ => sub_certs.push(cert),
                                 }
                             }
                             Sub::Wait { work, backmap, key } => {
                                 all_hit = false;
-                                let (task, idx, sgroup) = locate(work);
+                                let (task, idx, solved_map) = locate(work);
                                 match &raw[task] {
                                     Err(msg) => {
                                         all_proved = false;
@@ -988,20 +917,13 @@ impl Engine {
                                                 sub_certs.push(cert_hash);
                                             }
                                             RawVerdict::Refuted(pm) => {
-                                                let pm = match sgroup {
-                                                    Some((g, b)) => remap_portable(
-                                                        &pm,
-                                                        &group_backmaps[g][b],
-                                                        &backmap,
-                                                    ),
-                                                    None => pm,
-                                                };
+                                                let (pm, m) = rekey(
+                                                    &pm,
+                                                    solved_map.unwrap_or(&backmap),
+                                                    &backmap,
+                                                );
                                                 all_proved = false;
-                                                if refuted.is_none() {
-                                                    refuted = Some(portable_to_model(
-                                                        &pm, &backmap,
-                                                    ));
-                                                }
+                                                refuted.get_or_insert(m);
                                                 self.cache
                                                     .insert(key, CachedVerdict::Refuted(pm));
                                             }
@@ -1027,7 +949,7 @@ impl Engine {
                     out.cache_hit = all_hit;
                     out.error = error;
                     out.result = if let Some(model) = refuted {
-                        VerifyResult::Counterexample(Box::new(model))
+                        VerifyResult::Counterexample(model)
                     } else if all_proved {
                         // The conjunction itself is now a proved key, so
                         // future runs hit on the whole goal directly. Its
@@ -1136,6 +1058,31 @@ impl Engine {
     }
 }
 
+/// What the cache layer made of one `assumptions ⊢ goal` pair (see
+/// [`Engine::resolve`]).
+enum Found {
+    /// Settled without solving: trivially proved (`hit` false) or a
+    /// revalidated cache hit. `cert` fingerprints the certificate behind
+    /// a `Proved` (0 = none).
+    Ready { result: VerifyResult, cert: u64, hit: bool },
+    /// Not cached: solve it, then record the verdict under `key`.
+    Miss { key: Vec<u8> },
+}
+
+/// The outcome of a query settled without solving.
+fn settled(label: String, result: VerifyResult, cert: u64, hit: bool) -> QueryOutcome {
+    QueryOutcome {
+        label,
+        result,
+        stats: None,
+        wall: Duration::ZERO,
+        cache_hit: hit,
+        variant: 0,
+        cert: (cert != 0).then_some(cert),
+        error: None,
+    }
+}
+
 /// Component-wise sum of two stats blocks (used to aggregate split
 /// sub-queries; `wall` is summed here, the outcome reports critical-path
 /// wall separately).
@@ -1200,23 +1147,10 @@ fn combine_cert_hashes(hashes: &[u64]) -> u64 {
     }
 }
 
-/// Re-evaluates a cached countermodel against the query it claims to
-/// refute: every assumption must evaluate true and the goal false under
-/// the stored assignment (missing variables default like the solver's
-/// don't-cares). A cache entry failing this check is corrupt or stale
-/// and must be evicted, never returned.
-fn countermodel_valid(
-    pm: &PortableModel,
-    backmap: &BackMap,
-    assumptions: &[SBool],
-    goal: SBool,
-) -> bool {
-    refutes(&portable_to_model(pm, backmap), assumptions, goal)
-}
-
 /// Whether `m` refutes the query: every assumption evaluates true and
-/// the goal false.
-fn refutes(m: &Model, assumptions: &[SBool], goal: SBool) -> bool {
+/// the goal false (variables `m` does not assign default like the
+/// solver's don't-cares).
+pub fn refutes(m: &Model, assumptions: &[SBool], goal: SBool) -> bool {
     assumptions.iter().all(|a| m.eval_bool(a.0)) && !m.eval_bool(goal.0)
 }
 
@@ -1234,51 +1168,20 @@ fn check_refutation(out: &mut QueryOutcome, assumptions: &[SBool], goal: SBool) 
     }
 }
 
-/// Renumbers a portable model from one back map's canonical indices to
-/// another's, matching vars and UFs through their caller-side identity
-/// (both maps were built on the submitting thread, over the same terms).
+/// Translates a worker's countermodel, numbered by the core that was
+/// solved (`from`), into the numbering of the sub-query's own core
+/// (`to`, which its cache entry uses) and into the caller's terms.
 ///
-/// Session countermodels need this: the model a session worker returns
-/// is numbered in the session core's first-encounter order (across the
-/// base and *every* goal), while the per-sub-query cache key and caller
-/// translation use the sub-query's own normal form. Vars of the session
+/// A session core numbers vars across its base and *every* goal, so a
+/// goal's own core usually numbers them differently. Vars of the session
 /// not reachable from this sub-query are dropped; extra UF rows (from
 /// sibling goals' applications) are kept — they come from one consistent
 /// SAT model, so they agree with the sub-query's own applications.
-fn remap_portable(pm: &PortableModel, from: &BackMap, to: &BackMap) -> PortableModel {
-    let bvs: HashMap<u32, u128> = pm.bvs.iter().copied().collect();
-    let bools: HashMap<u32, bool> = pm.bools.iter().copied().collect();
-    let from_var: HashMap<TermId, u32> = from
-        .vars
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v.term, i as u32))
-        .collect();
-    let mut out = PortableModel::default();
-    for (k, origin) in to.vars.iter().enumerate() {
-        if let Some(&fi) = from_var.get(&origin.term) {
-            if let Some(&v) = bvs.get(&fi) {
-                out.bvs.push((k as u32, v));
-            }
-            if let Some(&b) = bools.get(&fi) {
-                out.bools.push((k as u32, b));
-            }
-        }
-    }
-    let from_uf: HashMap<serval_smt::term::UfId, u32> = from
-        .ufs
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| (u, i as u32))
-        .collect();
-    for (k, uf) in to.ufs.iter().enumerate() {
-        if let Some(fi) = from_uf.get(uf) {
-            if let Some((_, rows)) = pm.ufs.iter().find(|(i, _)| i == fi) {
-                out.ufs.push((k as u32, rows.clone()));
-            }
-        }
-    }
-    out
+fn rekey(pm: &PortableModel, from: &BackMap, to: &BackMap) -> (PortableModel, Box<Model>) {
+    let whole = portable_to_model(pm, from).expect("a solved model fits the core it solved");
+    let pm = portable_of_caller_model(&whole, to);
+    let m = portable_to_model(&pm, to).expect("projected onto `to` just above");
+    (pm, Box::new(m))
 }
 
 /// Projects a caller-context model onto a back map's canonical indices —
@@ -1310,32 +1213,22 @@ pub fn portable_of_caller_model(m: &Model, backmap: &BackMap) -> PortableModel {
     pm
 }
 
-/// Translates a cached verdict into the caller's term context.
-fn rehydrate(cached: CachedVerdict, backmap: &BackMap) -> VerifyResult {
-    match cached {
-        CachedVerdict::Proved { .. } => VerifyResult::Proved,
-        CachedVerdict::Refuted(pm) => {
-            VerifyResult::Counterexample(Box::new(portable_to_model(&pm, backmap)))
-        }
-    }
-}
-
-/// Maps a portable model onto the submitting thread's terms.
-pub fn portable_to_model(pm: &PortableModel, backmap: &BackMap) -> Model {
+/// Maps a portable model onto the terms of `backmap`'s thread. `None`
+/// when the model names a var or UF index the back map does not have,
+/// as a hostile or broken peer's model might.
+pub fn portable_to_model(pm: &PortableModel, backmap: &BackMap) -> Option<Model> {
     let mut m = Model::default();
     for &(k, v) in &pm.bvs {
-        m.set_bv(backmap.vars[k as usize].term, v);
+        m.set_bv(backmap.vars.get(k as usize)?.term, v);
     }
     for &(k, b) in &pm.bools {
-        m.set_bool(backmap.vars[k as usize].term, b);
+        m.set_bool(backmap.vars.get(k as usize)?.term, b);
     }
     for (k, rows) in &pm.ufs {
-        m.uf_tables.insert(
-            backmap.ufs[*k as usize],
-            rows.iter().cloned().collect(),
-        );
+        m.uf_tables
+            .insert(*backmap.ufs.get(*k as usize)?, rows.iter().cloned().collect());
     }
-    m
+    Some(m)
 }
 
 static GLOBAL: OnceLock<Mutex<Option<Arc<Engine>>>> = OnceLock::new();

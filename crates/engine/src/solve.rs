@@ -3,12 +3,13 @@
 //! shape. Portfolio mode races several solver configurations for one
 //! query and cancels the losers through the CDCL interrupt flag.
 
-use crate::form::{rebuild, rebuild_session, FormCore, SessionCore};
+use crate::form::{rebuild, BackMap, Core};
 use serval_check::sim;
+use serval_smt::bv::SBool;
 use serval_smt::model::Model;
 use serval_smt::session::Session;
 use serval_smt::solver::{check_full, check_full_proof, CheckResult, QueryStats, SolverConfig};
-use serval_smt::term::{reset_ctx, Sort, TermId, UfId};
+use serval_smt::term::reset_ctx;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -55,7 +56,8 @@ pub struct RawOutcome {
     pub cert_error: Option<String>,
 }
 
-/// Solves `core` under one configuration in a fresh term context.
+/// Solves a one-goal `core` (its assumptions plus the negated goal) under
+/// one configuration in a fresh term context.
 ///
 /// With `cert` on, the solver logs a DRAT-style proof and an `Unsat`
 /// answer is upgraded to `Proved` only after the independent checker
@@ -65,17 +67,20 @@ pub struct RawOutcome {
 /// Must run on a thread whose term context is disposable (a pool worker
 /// or a portfolio thread): the context is reset first.
 pub fn solve_one(
-    core: &FormCore,
+    core: &Core,
     cfg: SolverConfig,
     cancel: Option<Arc<AtomicBool>>,
     cert: bool,
 ) -> RawOutcome {
+    debug_assert_eq!(core.goals.len(), 1, "a fresh solve answers one goal");
     reset_ctx();
     let rq = rebuild(core);
+    let negated = rq.goals.iter().map(|&g| !g);
+    let roots: Vec<SBool> = rq.assumptions.iter().copied().chain(negated).collect();
     let mut out = if cert {
-        check_full_proof(cfg, &rq.roots, cancel)
+        check_full_proof(cfg, &roots, cancel)
     } else {
-        check_full(cfg, &rq.roots, cancel)
+        check_full(cfg, &roots, cancel)
     };
     // Buggify: hand the checker a truncated proof (as a flaky solver or
     // a torn proof log would). The only acceptable outcome is a rejected
@@ -103,52 +108,31 @@ pub fn solve_one(
         CheckResult::Unsat => RawVerdict::Proved,
         CheckResult::Unknown => RawVerdict::Unknown,
         CheckResult::Interrupted => RawVerdict::Interrupted,
-        CheckResult::Sat(model) => RawVerdict::Refuted(portable_of_model(
-            &model,
-            &core.var_sorts,
-            &rq.var_terms,
-            &rq.uf_ids,
-        )),
+        CheckResult::Sat(model) => refuted(&model, &rq.backmap),
     };
     RawOutcome { verdict, stats, variant: 0, cert_hash, cert_error }
 }
 
-/// Projects a worker-side [`Model`] onto canonical var/UF indices so it
-/// survives the trip back to the submitting thread.
-fn portable_of_model(
-    model: &Model,
-    var_sorts: &[Sort],
-    var_terms: &[TermId],
-    uf_ids: &[UfId],
-) -> PortableModel {
-    let mut pm = PortableModel::default();
-    for (k, &t) in var_terms.iter().enumerate() {
-        match var_sorts[k] {
-            Sort::Bool => {
-                if let Some(&b) = model.bool_values.get(&t) {
-                    pm.bools.push((k as u32, b));
-                }
-            }
-            Sort::BitVec(_) => {
-                if let Some(&v) = model.bv_values.get(&t) {
-                    pm.bvs.push((k as u32, v));
-                }
-            }
+/// Projects a worker-side countermodel onto the core's canonical var/UF
+/// indices so it survives the trip back to the submitting thread.
+///
+/// Buggify: flip one value of the model, as a broken model
+/// reconstruction would. The engine re-evaluates every countermodel
+/// against the query as submitted, so the only acceptable outcome is a
+/// demotion to `Unknown` with an error — never a wrong `Refuted`.
+fn refuted(model: &Model, backmap: &BackMap) -> RawVerdict {
+    let mut pm = crate::portable_of_caller_model(model, backmap);
+    if !(pm.bvs.is_empty() && pm.bools.is_empty()) && sim::buggify("countermodel-corrupt") {
+        match pm.bvs.first_mut() {
+            Some((_, v)) => *v ^= 1,
+            None => pm.bools[0].1 ^= true,
         }
     }
-    for (k, uf) in uf_ids.iter().enumerate() {
-        if let Some(table) = model.uf_tables.get(uf) {
-            let mut rows: Vec<(Vec<u128>, u128)> =
-                table.iter().map(|(a, &r)| (a.clone(), r)).collect();
-            rows.sort();
-            pm.ufs.push((k as u32, rows));
-        }
-    }
-    pm
+    RawVerdict::Refuted(pm)
 }
 
-/// Discharges a whole session core on one live solver: the shared
-/// assumptions are asserted (and blasted) once, then every goal is
+/// Discharges a k-goal core on one live solver: the shared assumptions
+/// are asserted (and blasted) once, then every goal is negated and
 /// answered in submission order with per-goal activation literals (see
 /// [`serval_smt::Session`]). Returns one outcome per goal, in order.
 ///
@@ -169,31 +153,32 @@ fn portable_of_model(
 /// Must run on a thread whose term context is disposable (a pool
 /// worker): the context is reset first.
 pub fn solve_session(
-    core: &SessionCore,
+    core: &Core,
     cfg: SolverConfig,
     cancel: Option<Arc<AtomicBool>>,
     cert: bool,
 ) -> Vec<RawOutcome> {
     reset_ctx();
-    let rq = rebuild_session(core);
+    let rq = rebuild(core);
     let mut session = Session::new(cfg, cancel);
     // The engine presolves queries caller-side, before forming session
     // cores; presolving the rebuilt core again would be wasted work.
     session.set_presolve(false);
     session.set_proof_logging(cert);
-    for &a in &rq.base {
+    for &a in &rq.assumptions {
         session.assume(a);
     }
+    let neg_goals: Vec<SBool> = rq.goals.iter().map(|&g| !g).collect();
     // Announcing the goal stream up front lets the session *retire*
     // terms after their last use — purging dead goals' gate clauses
     // keeps long sessions' watch lists near the live-cone size.
-    session.plan_goals(&rq.neg_goals);
+    session.plan_goals(&neg_goals);
     let mut checker = serval_drat::Checker::new();
     let mut checker_err: Option<String> = None;
     let mut running_hash = serval_drat::hash_steps(&[]);
-    let mut out = Vec::with_capacity(rq.neg_goals.len());
+    let mut out = Vec::with_capacity(neg_goals.len());
     let mut dead = false;
-    for &ng in &rq.neg_goals {
+    for &ng in &neg_goals {
         if dead {
             out.push(RawOutcome {
                 verdict: RawVerdict::Interrupted,
@@ -249,12 +234,7 @@ pub fn solve_session(
                 dead = true;
                 RawVerdict::Interrupted
             }
-            CheckResult::Sat(model) => RawVerdict::Refuted(portable_of_model(
-                &model,
-                &core.var_sorts,
-                &rq.var_terms,
-                &rq.uf_ids,
-            )),
+            CheckResult::Sat(model) => refuted(&model, &rq.backmap),
         };
         out.push(RawOutcome { verdict, stats, variant: 0, cert_hash, cert_error });
     }
@@ -299,7 +279,7 @@ pub fn portfolio_variants(base: SolverConfig) -> Vec<SolverConfig> {
 /// can differ run to run. `SERVAL_PORTFOLIO` therefore preserves
 /// verdict determinism, not model determinism; see DESIGN.md.
 pub fn solve_portfolio(
-    core: &FormCore,
+    core: &Core,
     base: SolverConfig,
     cancel: Option<Arc<AtomicBool>>,
     cert: bool,
@@ -385,7 +365,7 @@ pub fn solve_portfolio(
 /// "cancel" a definitive finisher just before it claims the win,
 /// exercising the fallback path the real race only hits under
 /// contention.
-fn solve_portfolio_sim(core: &FormCore, variants: &[SolverConfig], cert: bool) -> RawOutcome {
+fn solve_portfolio_sim(core: &Core, variants: &[SolverConfig], cert: bool) -> RawOutcome {
     let mut order: Vec<usize> = (0..variants.len()).collect();
     // Seeded Fisher–Yates: the visit order is part of the schedule.
     for i in (1..order.len()).rev() {

@@ -1,7 +1,7 @@
 //! Engine tests: canonicalization, pool determinism and poisoning,
 //! cache behavior, and end-to-end agreement with direct `smt::verify`.
 
-use crate::form::{cache_key, prepare, split_goal, Query};
+use crate::form::{prepare, split_goal, Query};
 use crate::pool::Pool;
 use crate::{DischargeMode, Engine, EngineCfg};
 use serval_check::prelude::*;
@@ -57,6 +57,11 @@ fn q(label: &str, assumptions: Vec<SBool>, goal: SBool) -> Query {
     }
 }
 
+/// The cache key of `assumptions ⊢ goal`: its one-goal core's bytes.
+fn key(assumptions: &[SBool], goal: SBool) -> Vec<u8> {
+    prepare(assumptions, &[goal]).core.encode()
+}
+
 // -----------------------------------------------------------------
 // Canonicalization
 // -----------------------------------------------------------------
@@ -68,13 +73,13 @@ fn alpha_renamed_queries_share_a_key() {
     reset_ctx();
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
-    let k1 = prepare(&[x.ult(y)], (x + y).eq_((y + x) & BV::lit(32, u128::MAX))).key;
+    let k1 = key(&[x.ult(y)], (x + y).eq_((y + x) & BV::lit(32, u128::MAX)));
 
     reset_ctx();
     let _decoy = BV::fresh(8, "decoy"); // shifts all ordinals
     let b = BV::fresh(32, "banana");
     let a = BV::fresh(32, "apple");
-    let k2 = prepare(&[a.ult(b)], (a + b).eq_((b + a) & BV::lit(32, u128::MAX))).key;
+    let k2 = key(&[a.ult(b)], (a + b).eq_((b + a) & BV::lit(32, u128::MAX)));
     assert_eq!(k1, k2);
 }
 
@@ -88,8 +93,8 @@ fn assumption_order_does_not_change_the_key() {
     let a1 = x.ult(y);
     let a2 = y.ule(z);
     let goal = x.ult(z);
-    let k_fwd = prepare(&[a1, a2], goal).key;
-    let k_rev = prepare(&[a2, a1], goal).key;
+    let k_fwd = key(&[a1, a2], goal);
+    let k_rev = key(&[a2, a1], goal);
     assert_eq!(k_fwd, k_rev);
 }
 
@@ -99,8 +104,8 @@ fn duplicate_and_trivial_assumptions_normalize_away() {
     let x = BV::fresh(16, "x");
     let y = BV::fresh(16, "y");
     let goal = (x + y).eq_(y + x);
-    let plain = prepare(&[x.ult(y)], goal).key;
-    let noisy = prepare(&[x.ult(y), SBool::lit(true), x.ult(y)], goal).key;
+    let plain = key(&[x.ult(y)], goal);
+    let noisy = key(&[x.ult(y), SBool::lit(true), x.ult(y)], goal);
     assert_eq!(plain, noisy);
 }
 
@@ -126,7 +131,7 @@ fn distinct_queries_get_distinct_keys() {
     ];
     let keys: Vec<Vec<u8>> = queries
         .iter()
-        .map(|(a, g)| prepare(a, *g).key)
+        .map(|(a, g)| key(a, *g))
         .collect();
     for i in 0..keys.len() {
         for j in (i + 1)..keys.len() {
@@ -173,23 +178,12 @@ proptest! {
                 2 => ((x | y) - (x & y)).eq_(x ^ y),
                 _ => (x ^ y).eq_((x | y) & !(x & y)),
             };
-            prepare(&assumptions, goal).key
+            key(&assumptions, goal)
         };
         let k1 = build(false, "a");
         let k2 = build(true, "b");
         prop_assert_eq!(k1, k2);
     }
-}
-
-#[test]
-fn cache_key_is_the_full_serialization() {
-    // Key equality must imply structural equality of the prepared core:
-    // re-serializing the core reproduces the key bit for bit.
-    reset_ctx();
-    let x = BV::fresh(32, "x");
-    let y = BV::fresh(32, "y");
-    let p = prepare(&[x.ult(y)], (x + y).eq_(y + x));
-    assert_eq!(p.key, cache_key(&p.core));
 }
 
 // -----------------------------------------------------------------
@@ -531,14 +525,14 @@ fn poisoned_refuted_entry_is_evicted_and_resolved() {
     let engine = local_engine_raw(1, true);
     // Provable goal; poison its cache slot with a bogus "countermodel".
     let goal = (x & y).ule(x);
-    let prepared = prepare(&[], goal);
+    let prepared = prepare(&[], &[goal]);
     let mut bogus = PortableModel::default();
     for (i, _) in prepared.backmap.vars.iter().enumerate() {
         bogus.bvs.push((i as u32, 7));
     }
     engine
         .cache
-        .insert(prepared.key.clone(), CachedVerdict::Refuted(bogus));
+        .insert(prepared.core.encode(), CachedVerdict::Refuted(bogus));
     // The hit revalidates the stored model against the term semantics,
     // finds it does not refute the goal, evicts, and re-solves.
     let o = engine.submit(q("p", vec![], goal));
@@ -603,20 +597,23 @@ fn poisoned_refuted_entry_without_certificates_is_not_refuted() {
     reset_ctx();
     let x = BV::fresh(16, "x");
     let y = BV::fresh(16, "y");
-    // Certificates off: cache hits are not revalidated, so only the
-    // final check stands between the poisoned entry and the caller.
+    // Certificates off: a `Refuted` hit is revalidated all the same, so
+    // the poisoned entry is evicted and the query re-solved, and later
+    // hits serve the proved verdict.
     let engine = cert_matrix_engine(true, true, false, false);
     let goal = (x & y).ule(x);
-    let prepared = prepare(&[], goal);
+    let prepared = prepare(&[], &[goal]);
     let mut bogus = PortableModel::default();
     for (i, _) in prepared.backmap.vars.iter().enumerate() {
         bogus.bvs.push((i as u32, 7));
     }
-    engine.cache.insert(prepared.key, CachedVerdict::Refuted(bogus));
+    engine.cache.insert(prepared.core.encode(), CachedVerdict::Refuted(bogus));
     let o = engine.submit(q("p", vec![], goal));
-    assert!(o.cache_hit);
-    assert!(matches!(o.result, VerifyResult::Unknown), "got {:?}", o.result);
-    assert!(o.error.is_some());
+    assert!(!o.cache_hit, "the eviction reclassifies the hit as a miss");
+    assert!(matches!(o.result, VerifyResult::Proved), "got {:?}", o.result);
+    let o = engine.submit(q("p", vec![], goal));
+    assert!(o.cache_hit, "the re-solve replaced the poisoned entry");
+    assert!(matches!(o.result, VerifyResult::Proved), "got {:?}", o.result);
 }
 
 // -----------------------------------------------------------------
@@ -824,7 +821,7 @@ fn portfolio_external_cancel_interrupts_mid_solve() {
     // verdict other than Interrupted means the external cancel never
     // reached the running variants. (Commutativity identities cannot be
     // used here: the term builder folds them to `true` at construction.)
-    let prepared = prepare(&[], (x * (y + z)).eq_(x * y + x * z));
+    let prepared = prepare(&[], &[(x * (y + z)).eq_(x * y + x * z)]);
     let cancel = Arc::new(AtomicBool::new(false));
     let killer = {
         let cancel = Arc::clone(&cancel);
@@ -1038,7 +1035,7 @@ fn session_countermodel_translation_handles_index_skew() {
     // The first goal drags `y` into the session's canonical numbering
     // before `z`; the second goal's own normal form contains only x and
     // z, so its canonical indices differ from the session's — exactly
-    // the skew `remap_portable` has to fix.
+    // the skew `rekey` has to fix.
     let g1 = (x + y).uge(x); // refuted by wraparound (large y)
     let g2 = x.ult(z); // refuted by z <= x
     let out = local_engine(1).submit_batch(vec![

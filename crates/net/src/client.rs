@@ -9,7 +9,8 @@
 //! exchange. Replies arrive in frame order; within each reply, outcomes
 //! are already in submission order, and countermodels are mapped back
 //! onto the caller's terms through the `BackMap` kept from
-//! serialization.
+//! serialization — then re-checked against the caller's own query, since
+//! the server is not trusted to have solved what was sent.
 //!
 //! [`RemoteEngine`] wraps a client in the [`Discharge`] seam, so
 //! `serval_engine::install_discharger(Arc::new(remote))` redirects every
@@ -19,6 +20,7 @@
 use crate::wire::{self, Msg, ServerStats, WireOutcome, WireQuery, WireVerdict};
 use serval_engine::form::{self, BackMap};
 use serval_engine::{Discharge, Query, QueryOutcome};
+use serval_smt::bv::SBool;
 use serval_smt::solver::VerifyResult;
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -189,18 +191,12 @@ impl Client {
     /// terms (serialization and countermodel mapping both need them).
     pub fn submit_batch(&mut self, queries: Vec<Query>) -> Result<Vec<QueryOutcome>, NetError> {
         let total = queries.len();
-        let mut labels = Vec::with_capacity(total);
         let mut backmaps = Vec::with_capacity(total);
         let mut wire_queries = Vec::with_capacity(total);
-        for q in queries {
-            let wp = form::prepare_wire(&q.assumptions, q.goal);
-            wire_queries.push(WireQuery {
-                label: q.label.clone(),
-                cfg: q.cfg,
-                core_bytes: form::wire_bytes(&wp.core),
-            });
-            labels.push(q.label);
-            backmaps.push(wp.backmap);
+        for q in &queries {
+            let (wq, backmap) = wire_query(q);
+            wire_queries.push(wq);
+            backmaps.push(backmap);
         }
 
         // Cut into bounded frames and pipeline them, keeping at most the
@@ -246,23 +242,56 @@ impl Client {
             }
         }
 
-        Ok(labels
+        Ok(queries
             .into_iter()
             .zip(results)
             .zip(&backmaps)
-            .map(|((label, out), backmap)| outcome_of_wire(label, out, backmap))
+            .map(|((q, out), backmap)| {
+                outcome_of_wire(q.label, out, backmap, &q.assumptions, q.goal)
+            })
             .collect())
     }
 }
 
+/// Serializes one query for the wire: the bytes of its one-goal core
+/// (which are also the engine's cache key for it) plus the back map that
+/// translates the server's countermodel. Must run on the thread that owns
+/// the query's terms.
+pub fn wire_query(q: &Query) -> (WireQuery, BackMap) {
+    let prepared = form::prepare(&q.assumptions, &[q.goal]);
+    let wq = WireQuery { label: q.label.clone(), cfg: q.cfg, core_bytes: prepared.core.encode() };
+    (wq, prepared.backmap)
+}
+
 /// Translates one wire outcome back into the caller's term context
 /// (shared by [`Client`] and the sim scenario's in-memory client).
-pub fn outcome_of_wire(label: String, out: WireOutcome, backmap: &BackMap) -> QueryOutcome {
+///
+/// A `Refuted` reply is a claim by the server: its countermodel must fit
+/// `backmap` and refute the caller's own `assumptions` and `goal`, or the
+/// outcome is demoted to `Unknown` with the reason in `error`.
+pub fn outcome_of_wire(
+    label: String,
+    out: WireOutcome,
+    backmap: &BackMap,
+    assumptions: &[SBool],
+    goal: SBool,
+) -> QueryOutcome {
+    let mut error = out.error;
     let result = match out.verdict {
         WireVerdict::Proved => VerifyResult::Proved,
-        WireVerdict::Refuted(pm) => VerifyResult::Counterexample(Box::new(
-            serval_engine::portable_to_model(&pm, backmap),
-        )),
+        WireVerdict::Refuted(pm) => match serval_engine::portable_to_model(&pm, backmap) {
+            Some(m) if serval_engine::refutes(&m, assumptions, goal) => {
+                VerifyResult::Counterexample(Box::new(m))
+            }
+            Some(_) => {
+                error = Some("server countermodel does not refute the query".to_string());
+                VerifyResult::Unknown
+            }
+            None => {
+                error = Some("server countermodel names a var or UF the query lacks".to_string());
+                VerifyResult::Unknown
+            }
+        },
         WireVerdict::Unknown => VerifyResult::Unknown,
         WireVerdict::Interrupted => VerifyResult::Interrupted,
     };
@@ -274,7 +303,7 @@ pub fn outcome_of_wire(label: String, out: WireOutcome, backmap: &BackMap) -> Qu
         cache_hit: out.cache_hit,
         variant: 0,
         cert: (out.cert != 0).then_some(out.cert),
-        error: out.error,
+        error,
     }
 }
 

@@ -160,7 +160,7 @@ impl Shard {
         let mut queries: Vec<Query> = Vec::new();
         let mut pending: Vec<(usize, form::BackMap, Vec<u8>, bool)> = Vec::new();
         for rq in batch {
-            match form::wire_from_bytes(&rq.query.core_bytes) {
+            match decode_query(&rq.query.core_bytes) {
                 Err(why) => {
                     // The front end validates cores before dispatch, so
                     // this is a second line of defense, not a code path
@@ -168,14 +168,14 @@ impl Shard {
                     ready.push((rq.slot, self.error_outcome(format!("malformed core: {why}"))));
                 }
                 Ok(core) => {
-                    let wr = form::rebuild_wire(&core);
+                    let rb = form::rebuild(&core);
                     queries.push(Query {
                         label: rq.query.label,
-                        assumptions: wr.assumptions,
-                        goal: wr.goal,
+                        assumptions: rb.assumptions,
+                        goal: rb.goals[0],
                         cfg: rq.query.cfg,
                     });
-                    pending.push((rq.slot, wr.backmap, rq.query.core_bytes, rq.hot));
+                    pending.push((rq.slot, rb.backmap, rq.query.core_bytes, rq.hot));
                 }
             }
         }
@@ -225,6 +225,15 @@ impl Shard {
             error: Some(why),
         }
     }
+}
+
+/// Decodes a wire query's core, which must carry exactly one goal.
+fn decode_query(core_bytes: &[u8]) -> Result<form::Core, &'static str> {
+    let core = form::Core::decode(core_bytes)?;
+    if core.goals.len() != 1 {
+        return Err("a wire query must carry exactly one goal");
+    }
+    Ok(core)
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -307,7 +316,7 @@ impl ServerCore {
     /// queued job).
     pub fn check_batch(&self, queries: &[WireQuery]) -> Result<(), String> {
         for (i, q) in queries.iter().enumerate() {
-            form::wire_from_bytes(&q.core_bytes)
+            decode_query(&q.core_bytes)
                 .map_err(|why| format!("query {i} ({}): {why}", q.label))?;
         }
         Ok(())

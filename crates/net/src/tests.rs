@@ -10,17 +10,19 @@
 //! reassembly across shards, hot-tier promotion, and that one
 //! misbehaving connection never takes the server down for others.
 
-use crate::client::Client;
+use crate::client::{outcome_of_wire, wire_query, Client};
 use crate::service::NetCfg;
 use crate::wire::{
-    self, decode_msg, encode_msg, FrameReader, Msg, WireError, WireQuery, WireVerdict,
-    SHARD_HOT,
+    self, decode_msg, encode_msg, FrameReader, Msg, WireError, WireOutcome, WireQuery,
+    WireVerdict, SHARD_HOT,
 };
-use crate::Server;
+use crate::{Server, ServerCore};
 use serval_check::prelude::*;
-use serval_engine::form;
-use serval_engine::Query;
+use serval_engine::form::{self, BackMap, Core, Node};
+use serval_engine::solve::PortableModel;
+use serval_engine::{Engine, EngineCfg, Query};
 use serval_smt::solver::{SolverConfig, VerifyResult};
+use serval_smt::term::{Op, Sort};
 use serval_smt::{reset_ctx, Rephase, SBool, BV};
 
 // ----------------------------------------------------------------------------
@@ -47,7 +49,7 @@ fn sample_msg(picks: &[u8]) -> Msg {
     }
 }
 
-/// Real wire queries (the cores go through `prepare_wire`, so they are
+/// Real wire queries (the cores go through `wire_query`, so they are
 /// exactly what a genuine client would send), each under its own
 /// sampled solver config.
 fn sample_queries(picks: &[u8]) -> Vec<WireQuery> {
@@ -56,13 +58,10 @@ fn sample_queries(picks: &[u8]) -> Vec<WireQuery> {
     (0..n)
         .map(|i| {
             let tail = &picks[i.min(picks.len().saturating_sub(1))..];
-            let (assumptions, goal) = sample_obligation(tail);
-            let wp = form::prepare_wire(&assumptions, goal);
-            WireQuery {
-                label: format!("fuzz/{i}"),
-                cfg: sample_cfg(tail.get(8..).unwrap_or_default()),
-                core_bytes: form::wire_bytes(&wp.core),
-            }
+            let (assumptions, goals) = sample_obligation(tail, 1);
+            let mut q = query(&format!("fuzz/{i}"), assumptions, goals[0]);
+            q.cfg = sample_cfg(tail.get(8..).unwrap_or_default());
+            wire_query(&q).0
         })
         .collect()
 }
@@ -86,13 +85,23 @@ fn sample_cfg(picks: &[u8]) -> SolverConfig {
     }
 }
 
-/// A small random obligation over two 32-bit variables. Shapes cover
-/// all the wire-interesting node kinds: vars, constants, the boolean
-/// connectives, comparisons, extracts, and extensions.
-fn sample_obligation(picks: &[u8]) -> (Vec<SBool>, SBool) {
+/// A small random obligation with `n_goals` goals over two shared 32-bit
+/// variables. Shapes cover all the wire-interesting node kinds: vars,
+/// constants, the boolean connectives, comparisons, extracts, and
+/// extensions.
+fn sample_obligation(picks: &[u8], n_goals: usize) -> (Vec<SBool>, Vec<SBool>) {
     let byte = |i: usize| picks.get(i).copied().unwrap_or(0);
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
+    let tail = |g: usize| &picks[g.min(picks.len().saturating_sub(1))..];
+    let goals = (0..n_goals).map(|g| sample_goal(x, y, tail(g))).collect();
+    let assumptions = if byte(7) % 2 == 0 { vec![x.ule(y)] } else { vec![] };
+    (assumptions, goals)
+}
+
+/// One goal over `x` and `y`, shaped by `picks`.
+fn sample_goal(x: BV, y: BV, picks: &[u8]) -> SBool {
+    let byte = |i: usize| picks.get(i).copied().unwrap_or(0);
     let k = BV::lit(32, u128::from(byte(1)));
     let mut acc = x;
     for step in 0..(byte(0) % 4) {
@@ -105,13 +114,11 @@ fn sample_obligation(picks: &[u8]) -> (Vec<SBool>, SBool) {
             _ => acc.extract(7, 0).sext(32),
         };
     }
-    let goal = match byte(6) % 3 {
+    match byte(6) % 3 {
         0 => (acc & k).ule(acc),
         1 => acc.ult(k),
         _ => acc.eq_(y).implies(y.eq_(acc)),
-    };
-    let assumptions = if byte(7) % 2 == 0 { vec![x.ule(y)] } else { vec![] };
-    (assumptions, goal)
+    }
 }
 
 /// A test server config: single-worker shards, no disk cache, so tests
@@ -161,7 +168,7 @@ proptest! {
     #[test]
     fn prop_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
         let _ = decode_msg(&bytes);
-        let _ = form::wire_from_bytes(&bytes);
+        let _ = Core::decode(&bytes);
     }
 
     /// A single flipped bit in a valid payload either still decodes (it
@@ -212,35 +219,40 @@ proptest! {
         prop_assert_eq!(out, payloads);
     }
 
-    /// `prepare_wire` → `wire_bytes` → `wire_from_bytes` is lossless,
-    /// and rebuilding the core into a fresh term context then preparing
-    /// again reproduces the same bytes (the wire form is a fixpoint).
+    /// `prepare` → `encode` → `decode` is lossless for cores of one to
+    /// three goals (wire queries carry one, session tasks several), and
+    /// rebuilding the core into a fresh term context then preparing
+    /// again reproduces the same bytes (the format is a fixpoint).
     #[test]
-    fn prop_core_roundtrip_fixpoint(picks in prop::collection::vec(any::<u8>(), 1..16)) {
+    fn prop_core_roundtrip_fixpoint(
+        picks in prop::collection::vec(any::<u8>(), 1..16),
+        n_goals in 1usize..4,
+    ) {
         reset_ctx();
-        let (assumptions, goal) = sample_obligation(&picks);
-        let wp = form::prepare_wire(&assumptions, goal);
-        let bytes = form::wire_bytes(&wp.core);
-        let core = form::wire_from_bytes(&bytes).expect("own core bytes must decode");
-        prop_assert_eq!(&core, &wp.core);
+        let (assumptions, goals) = sample_obligation(&picks, n_goals);
+        let prepared = form::prepare(&assumptions, &goals);
+        let bytes = prepared.core.encode();
+        let core = Core::decode(&bytes).expect("own core bytes must decode");
+        prop_assert_eq!(&core, &prepared.core);
 
         reset_ctx();
-        let rebuilt = form::rebuild_wire(&core);
-        let wp2 = form::prepare_wire(&rebuilt.assumptions, rebuilt.goal);
-        prop_assert_eq!(form::wire_bytes(&wp2.core), bytes);
+        let rebuilt = form::rebuild(&core);
+        let again = form::prepare(&rebuilt.assumptions, &rebuilt.goals);
+        prop_assert_eq!(again.core.encode(), bytes);
     }
 
     /// Truncated core bytes are always rejected.
     #[test]
     fn prop_core_truncation_rejected(
         picks in prop::collection::vec(any::<u8>(), 1..16),
+        n_goals in 1usize..4,
         cut in any::<u16>(),
     ) {
         reset_ctx();
-        let (assumptions, goal) = sample_obligation(&picks);
-        let bytes = form::wire_bytes(&form::prepare_wire(&assumptions, goal).core);
+        let (assumptions, goals) = sample_obligation(&picks, n_goals);
+        let bytes = form::prepare(&assumptions, &goals).core.encode();
         let cut = usize::from(cut) % bytes.len();
-        prop_assert!(form::wire_from_bytes(&bytes[..cut]).is_err());
+        prop_assert!(Core::decode(&bytes[..cut]).is_err());
     }
 
     /// A flipped bit in core bytes either errors or yields a core that
@@ -248,17 +260,18 @@ proptest! {
     #[test]
     fn prop_core_bit_flip_never_panics(
         picks in prop::collection::vec(any::<u8>(), 1..16),
+        n_goals in 1usize..4,
         at in any::<u16>(),
         bit in any::<u8>(),
     ) {
         reset_ctx();
-        let (assumptions, goal) = sample_obligation(&picks);
-        let mut bytes = form::wire_bytes(&form::prepare_wire(&assumptions, goal).core);
+        let (assumptions, goals) = sample_obligation(&picks, n_goals);
+        let mut bytes = form::prepare(&assumptions, &goals).core.encode();
         let at = usize::from(at) % bytes.len();
         bytes[at] ^= 1 << (bit % 8);
-        if let Ok(core) = form::wire_from_bytes(&bytes) {
+        if let Ok(core) = Core::decode(&bytes) {
             reset_ctx();
-            let _ = form::rebuild_wire(&core);
+            let _ = form::rebuild(&core);
         }
     }
 }
@@ -441,7 +454,7 @@ fn loopback_zero_var_decay_gets_error_then_close() {
     reset_ctx();
     let x = BV::fresh(32, "x");
     let goal = x.ult(BV::lit(32, 10));
-    let wp = form::prepare_wire(&[], goal);
+    let (wq, _) = wire_query(&query("zero-decay", vec![], goal));
     for var_decay in [0.0, -0.0] {
         let mut raw = std::net::TcpStream::connect(&addr).unwrap();
         wire::write_frame(&mut raw, &encode_msg(&Msg::Hello { version: wire::PROTO_VERSION }))
@@ -450,9 +463,8 @@ fn loopback_zero_var_decay_gets_error_then_close() {
         let batch = Msg::Batch {
             id: 1,
             queries: vec![WireQuery {
-                label: "zero-decay".to_string(),
                 cfg: SolverConfig { var_decay, ..SolverConfig::default() },
-                core_bytes: form::wire_bytes(&wp.core),
+                ..wq.clone()
             }],
         };
         wire::write_frame(&mut raw, &encode_msg(&batch)).unwrap();
@@ -486,14 +498,9 @@ fn loopback_mid_batch_disconnect_leaves_server_healthy() {
         let _ = wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap();
         reset_ctx();
         let x = BV::fresh(32, "x");
-        let wp = form::prepare_wire(&[], x.eq_(x));
         let batch = Msg::Batch {
             id: 7,
-            queries: vec![WireQuery {
-                label: "doomed".to_string(),
-                cfg: SolverConfig::default(),
-                core_bytes: form::wire_bytes(&wp.core),
-            }],
+            queries: vec![wire_query(&query("doomed", vec![], x.eq_(x))).0],
         };
         wire::write_frame(&mut raw, &encode_msg(&batch)).unwrap();
         // Drop without reading the reply: the write side sees a reset.
@@ -542,7 +549,7 @@ fn loopback_malformed_core_rejected_at_admission() {
         queries: vec![WireQuery {
             label: "bogus".to_string(),
             cfg: SolverConfig::default(),
-            core_bytes: b"SW1\0garbage".to_vec(),
+            core_bytes: b"SQ2\0garbage".to_vec(),
         }],
     };
     wire::write_frame(&mut raw, &encode_msg(&batch)).unwrap();
@@ -563,12 +570,8 @@ fn loopback_hot_hits_report_sentinel_shard() {
 
     reset_ctx();
     let x = BV::fresh(32, "x");
-    let wp = form::prepare_wire(&[], x.eq_(x));
-    let wq = || WireQuery {
-        label: "hot".to_string(),
-        cfg: SolverConfig::default(),
-        core_bytes: form::wire_bytes(&wp.core),
-    };
+    let (wq, _) = wire_query(&query("hot", vec![], x.eq_(x)));
+    let wq = || wq.clone();
     // Threshold 1: the first discharge promotes, the second must be a
     // hot-tier hit.
     let first = core.discharge(vec![wq()]);
@@ -578,4 +581,135 @@ fn loopback_hot_hits_report_sentinel_shard() {
     assert_eq!(second[0].shard, SHARD_HOT);
     assert!(second[0].cache_hit);
     server.shutdown();
+}
+
+// ----------------------------------------------------------------------------
+// One core format: cache key, hostile cores, remote countermodels
+// ----------------------------------------------------------------------------
+
+/// A query's cache key is exactly the `core_bytes` a client sends for
+/// it: a local engine that solved the query, and a server that solved
+/// the wire query, both hold the verdict under those very bytes.
+#[test]
+fn cache_key_is_the_wire_payload() {
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let y = BV::fresh(32, "y");
+    let asm = x.ult(y);
+    let goal = (x & y).ule(x);
+    let (wq, _) = wire_query(&query("key", vec![asm], goal));
+
+    let engine = Engine::new(EngineCfg { jobs: 1, disk_cache: None, ..EngineCfg::default() });
+    assert!(engine.cache().probe(&wq.core_bytes).is_none());
+    let out = engine.submit(query("key", vec![asm], goal));
+    assert!(matches!(out.result, VerifyResult::Proved), "{:?}", out.result);
+    assert!(engine.cache().probe(&wq.core_bytes).is_some(), "engine keys on the wire bytes");
+
+    let server = ServerCore::new(test_cfg(1, 0));
+    let replies = server.discharge(vec![wq.clone()]);
+    assert!(matches!(replies[0].verdict, WireVerdict::Proved));
+    let shard_cache = server.shards()[0].engine().cache();
+    assert!(shard_cache.probe(&wq.core_bytes).is_some(), "server keys on the wire bytes");
+}
+
+fn node(op: Op, children: Vec<u32>, sort: Sort) -> Node {
+    Node { op, children, sort }
+}
+
+/// Cores whose every node is well-formed but which do not describe the
+/// query they seem to: `x = x` with `x` split across two var nodes
+/// (which would rebuild as two distinct constants, making a tautology
+/// refutable), and a declared var no node uses. Both must be refused by
+/// the decoder and at admission; cores with zero or two goals decode
+/// but are refused at admission, since a wire query has one goal.
+#[test]
+fn hostile_cores_rejected() {
+    let bv = Sort::BitVec(32);
+    let split_var = Core {
+        nodes: vec![
+            node(Op::Var(0), vec![], bv),
+            node(Op::Var(0), vec![], bv),
+            node(Op::Eq, vec![0, 1], Sort::Bool),
+        ],
+        asms: vec![],
+        goals: vec![2],
+        var_sorts: vec![bv],
+        uf_sigs: vec![],
+    };
+    let unused_var = Core {
+        nodes: vec![
+            node(Op::Var(0), vec![], bv),
+            node(Op::BvConst(5), vec![], bv),
+            node(Op::Ult, vec![0, 1], Sort::Bool),
+        ],
+        asms: vec![],
+        goals: vec![2],
+        var_sorts: vec![bv, bv],
+        uf_sigs: vec![],
+    };
+    for bad in [&split_var, &unused_var] {
+        assert!(Core::decode(&bad.encode()).is_err(), "decoded {bad:?}");
+    }
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let k = BV::lit(32, 9);
+    let no_goal = form::prepare(&[x.ult(k)], &[]).core;
+    let two_goals = form::prepare(&[], &[x.ult(k), x.ule(k)]).core;
+    for ok in [&no_goal, &two_goals] {
+        assert!(Core::decode(&ok.encode()).is_ok());
+    }
+
+    let server = ServerCore::new(test_cfg(1, 0));
+    for (label, bad) in
+        [("split", split_var), ("unused", unused_var), ("none", no_goal), ("two", two_goals)]
+    {
+        let wq = WireQuery {
+            label: label.to_string(),
+            cfg: SolverConfig::default(),
+            core_bytes: bad.encode(),
+        };
+        let why = server.check_batch(&[wq]).expect_err(label);
+        assert!(why.contains(label), "error should name the query: {why}");
+    }
+}
+
+/// A `Refuted` reply carrying `model`.
+fn refuted_reply(model: PortableModel) -> WireOutcome {
+    WireOutcome {
+        verdict: WireVerdict::Refuted(model),
+        cert: 0,
+        cache_hit: false,
+        shard: 0,
+        wall_micros: 0,
+        stats: None,
+        error: None,
+    }
+}
+
+/// The client does not trust a server's countermodel: one naming a var
+/// the query does not have, or one that does not refute the caller's
+/// own query, degrades to `Unknown` with an error instead of panicking
+/// or surfacing as a wrong `Refuted`. A genuine one passes.
+#[test]
+fn remote_countermodels_are_checked() {
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let asm = x.uge(BV::lit(32, 3));
+    let goal = x.ult(BV::lit(32, 10));
+    let (_, backmap) = wire_query(&query("q", vec![asm], goal));
+    let with_x = |v: u128| PortableModel { bvs: vec![(0, v)], ..PortableModel::default() };
+
+    let out_of_range = PortableModel { bvs: vec![(5, 1)], ..PortableModel::default() };
+    let empty = BackMap::default();
+    let o = outcome_of_wire("q".into(), refuted_reply(out_of_range), &empty, &[asm], goal);
+    assert!(matches!(o.result, VerifyResult::Unknown), "{:?}", o.result);
+    assert!(o.error.is_some());
+
+    let o = outcome_of_wire("q".into(), refuted_reply(with_x(5)), &backmap, &[asm], goal);
+    assert!(matches!(o.result, VerifyResult::Unknown), "x = 5 does not refute: {:?}", o.result);
+    assert!(o.error.is_some());
+
+    let o = outcome_of_wire("q".into(), refuted_reply(with_x(12)), &backmap, &[asm], goal);
+    assert!(matches!(o.result, VerifyResult::Counterexample(_)), "{:?}", o.result);
+    assert!(o.error.is_none());
 }

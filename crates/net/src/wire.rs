@@ -5,9 +5,10 @@
 //! length is bounded by the receiver's `max_frame` — an oversize prefix
 //! is a protocol error *before* any allocation, so a hostile client
 //! cannot request a 4 GiB buffer with five bytes. Payloads start with a
-//! one-byte message tag; queries travel as
-//! [`serval_engine::form::wire_bytes`] cores, which the server re-decodes
-//! through the fully validating [`serval_engine::form::wire_from_bytes`].
+//! one-byte message tag; queries travel as the bytes of their one-goal
+//! [`serval_engine::form::Core`] ([`serval_engine::form::Core::encode`]),
+//! which the server re-decodes through the fully validating
+//! [`serval_engine::form::Core::decode`].
 //!
 //! Everything here is written against *untrusted* input: every read is
 //! bounds-checked, every count is validated against the remaining byte
@@ -32,7 +33,11 @@ use std::time::Duration;
 ///
 /// v4: `SolverConfig` lost `inprocess`, `polarity`, `session_bve` and
 /// `lrat` (four bytes per query), and `var_decay` must lie in `(0, 1]`.
-pub const PROTO_VERSION: u32 = 4;
+///
+/// v5: query cores are the engine's one core format (magic `SQ2`, a goal
+/// count before the goal roots: four bytes per query), and a core must
+/// carry exactly one goal.
+pub const PROTO_VERSION: u32 = 5;
 
 /// Default bound on a single frame's payload. Large enough for a whole
 /// certikos refinement batch chunk, small enough that a hostile length
@@ -80,21 +85,22 @@ impl std::error::Error for WireError {}
 // --------------------------------------------------------------------------
 
 /// One query on the wire: a label, solver parameters, and the validated
-/// byte serialization of its [`serval_engine::form::WireCore`].
+/// byte serialization of its one-goal [`serval_engine::form::Core`].
 #[derive(Clone, Debug)]
 pub struct WireQuery {
     /// Theorem label, echoed back in reports.
     pub label: String,
     /// Solver configuration (budget + search parameters).
     pub cfg: SolverConfig,
-    /// `form::wire_bytes` of the query core. The server keys routing and
-    /// hot-query detection on these bytes (they are alpha-invariant),
-    /// and decodes them through `form::wire_from_bytes` before solving.
+    /// `Core::encode` of the query's one-goal core: the same bytes the
+    /// engine keys its verdict cache on. The server keys routing and
+    /// hot-query detection on them (they are alpha-invariant), and
+    /// decodes them through `Core::decode` before solving.
     pub core_bytes: Vec<u8>,
 }
 
-/// A verdict on the wire. Countermodels are phrased over the *wire
-/// core's* canonical variable numbering, so the client can map them back
+/// A verdict on the wire. Countermodels are phrased over the query
+/// core's canonical variable numbering, so the client can map them back
 /// onto its own terms with its `BackMap`.
 #[derive(Clone, Debug)]
 pub enum WireVerdict {

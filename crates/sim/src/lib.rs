@@ -11,7 +11,8 @@
 //!
 //! Two knobs per run ([`SimConfig`]): `buggify` arms the rare-branch
 //! hooks planted in production code (lock-order edges, fallback paths,
-//! purge skips, SAT-inprocessing skips, proof corruption), and
+//! purge skips, SAT-inprocessing skips, proof and countermodel
+//! corruption), and
 //! `io_faults` arms torn/flipped/crashed disk writes in the verdict
 //! cache. The oracles here are
 //! written for *both* modes:
@@ -199,7 +200,9 @@ fn letter(r: &VerifyResult) -> char {
 /// The shared verdict oracle: a *wrong* definitive verdict is fatal in
 /// every mode; a non-definitive verdict (`Unknown`/`Interrupted`) is
 /// fatal only in plain runs, where nothing can legitimately degrade. A
-/// reported counterexample must actually refute the caller's query.
+/// reported counterexample must actually refute the caller's query, and
+/// an `Unknown` must say why: no scenario sets a budget, so every one
+/// comes from a detected fault.
 fn check_verdicts(
     outcomes: &[serval_engine::QueryOutcome],
     oracle: &[(Vec<SBool>, SBool, bool)],
@@ -233,6 +236,11 @@ fn check_verdicts(
                     faulty,
                     "{}: non-definitive verdict {:?} in a fault-free run",
                     o.label, o.result
+                );
+                assert!(
+                    o.error.is_some() || matches!(o.result, VerifyResult::Interrupted),
+                    "{}: Unknown without an error",
+                    o.label
                 );
             }
         }
@@ -520,8 +528,8 @@ fn cert_demotion(cfg: &SimConfig) -> String {
 ///   client provably never blocks the rest. `net-route-rehash` and
 ///   `net-hot-skip` fire inside the core itself.
 fn net_batch(cfg: &SimConfig) -> String {
-    use serval_engine::form::{self, BackMap};
-    use serval_net::client::outcome_of_wire;
+    use serval_engine::form::BackMap;
+    use serval_net::client::{outcome_of_wire, wire_query};
     use serval_net::service::{NetCfg, ServerCore};
     use serval_net::wire::{self as nwire, Msg, WireQuery};
     use std::collections::VecDeque;
@@ -584,14 +592,10 @@ fn net_batch(cfg: &SimConfig) -> String {
         let mut my_backmaps = Vec::new();
         for (i, (assumptions, goal, _)) in oracle.iter().enumerate() {
             let label = format!("net-c{c}q{i}");
-            let wp = form::prepare_wire(assumptions, *goal);
-            wire_queries.push(WireQuery {
-                label: label.clone(),
-                cfg: SolverConfig::default(),
-                core_bytes: form::wire_bytes(&wp.core),
-            });
+            let (wq, backmap) = wire_query(&q(&label, assumptions.clone(), *goal));
+            wire_queries.push(wq);
             my_labels.push(label);
-            my_backmaps.push(wp.backmap);
+            my_backmaps.push(backmap);
         }
         let chunk = sim::choose(3) + 1;
         let mut frames: VecDeque<(u64, Vec<u8>, usize)> = VecDeque::new();
@@ -675,10 +679,13 @@ fn net_batch(cfg: &SimConfig) -> String {
                 assert_eq!(stats.shards.len(), 3, "stats must carry every shard's row");
                 let at = outcomes[pick].len();
                 for (j, out) in results.into_iter().enumerate() {
+                    let (assumptions, goal, _) = &oracles[pick][at + j];
                     outcomes[pick].push(outcome_of_wire(
                         labels[pick][at + j].clone(),
                         out,
                         &backmaps[pick][at + j],
+                        assumptions,
+                        *goal,
                     ));
                 }
             }

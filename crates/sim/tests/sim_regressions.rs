@@ -118,7 +118,7 @@ fn corrupted_proofs_demote_to_unknown() {
 /// Regression: dropping the portfolio's first definitive finisher
 /// ("portfolio-drop-winner") may cost a verdict, never flip one. Seed 2
 /// drops a winner and a later variant still recovers every verdict;
-/// seed 17 corrupts a proof (with hints also stripped) and degrades one
+/// seed 5 corrupts a proof (with hints also stripped) and degrades one
 /// query to Unknown.
 #[test]
 fn dropped_portfolio_winner_degrades_but_never_flips() {
@@ -129,10 +129,28 @@ fn dropped_portfolio_winner_degrades_but_never_flips() {
     );
     assert_eq!(recovered.summary, "verdicts=PPR variants=001");
 
-    let degraded = run("portfolio_cancel", SimConfig::hostile(17));
+    let degraded = run("portfolio_cancel", SimConfig::hostile(5));
     assert!(degraded.fired("cert-corrupt-proof"));
     assert!(degraded.fired("lrat-drop-hint"));
-    assert_eq!(degraded.summary, "verdicts=PUR variants=210");
+    assert_eq!(degraded.summary, "verdicts=UPR variants=001");
+}
+
+/// Regression: a solved countermodel with one value flipped
+/// ("countermodel-corrupt", as a broken model reconstruction would
+/// produce) must never leave the engine as `Refuted`. Seed 27 corrupts
+/// the refutable query's model and nothing else fires: the outcome is
+/// demoted to Unknown, and the scenario's oracle checks that it carries
+/// an error.
+#[test]
+fn corrupted_countermodel_demotes_to_unknown() {
+    let r = run("portfolio_cancel", SimConfig::hostile(27));
+    assert!(
+        r.fired("countermodel-corrupt"),
+        "pinned seed no longer corrupts a countermodel"
+    );
+    assert!(!r.fired("cert-corrupt-proof"));
+    assert!(!r.fired("portfolio-drop-winner"));
+    assert_eq!(r.summary, "verdicts=PPU variants=200");
 }
 
 /// Regression: buggified queue discipline (submit diverted to the

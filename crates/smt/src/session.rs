@@ -392,7 +392,8 @@ impl Session {
     }
 
     /// Like [`Session::solve_goal`], but takes the *already negated*
-    /// goal (the engine's session cores store `¬goal` roots directly).
+    /// goal (the engine's session worker negates each goal once, up
+    /// front, so the plan it announces holds the very terms it solves).
     pub fn solve_negated(&mut self, neg_goal: SBool) -> SessionOutcome {
         let start = Instant::now();
         let reused_vars = self.sat.num_vars();
